@@ -124,17 +124,6 @@ class VerifyCache {
 
   /// Same contract as KeyRegistry::verify, plus memoization of successes.
   bool verify(u64 digest, const Signature& sig) {
-    if (lookup(digest, sig)) return true;
-    if (!registry_->verify(digest, sig)) return false;
-    admit(digest, sig);
-    return true;
-  }
-
-  /// Cache-only probe: true (counted as a hit) iff this exact (digest,
-  /// signer, tag) triple verified successfully before. Never consults the
-  /// registry — the pre-pass of crypto::verify_batch, which defers the
-  /// registry work for all misses into one (optionally parallel) sweep.
-  bool lookup(u64 digest, const Signature& sig) {
     const u64 key = cache_key(digest, sig);
     if (hot_.contains(key)) {
       ++hits_;
@@ -146,13 +135,10 @@ class VerifyCache {
       return true;
     }
     ++misses_;
-    return false;
+    if (!registry_->verify(digest, sig)) return false;  // forgeries are never cached
+    insert_hot(key);
+    return true;
   }
-
-  /// Records a successful registry verification (verify_batch's post-pass;
-  /// callers must have actually verified — admitting a forgery would cache
-  /// it). Not thread-safe: call from the owning thread only.
-  void admit(u64 digest, const Signature& sig) { insert_hot(cache_key(digest, sig)); }
 
   /// Ages both generations one step: cold is dropped (counted as
   /// evictions), hot becomes cold. Called by the owner after compacting
@@ -163,11 +149,6 @@ class VerifyCache {
     cold_ = std::move(hot_);
     hot_.clear();
   }
-
-  /// The registry behind the cache. KeyRegistry::verify is const and pure
-  /// (siphash over immutable keys), so batch verification may call it from
-  /// worker threads while the cache itself stays single-threaded.
-  const KeyRegistry& registry() const { return *registry_; }
 
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }

@@ -199,10 +199,8 @@ u64 AbdNode::recover_from_storage() {
   recovering_ = true;
   const u64 replayed = store.replay(replay_from, [this](const SignedAppend& rec) {
     // The log only ever held verified records, but the disk is outside the
-    // trust boundary — recovery re-verifies exactly like the wire path.
-    if (rec.sig.signer == rec.author && verifier_.verify(rec.digest(), rec.sig)) {
-      admit(rec);
-    }
+    // trust boundary — recovery checks records exactly as handle() does.
+    if (signed_by(rec.author, rec.digest(), rec.sig)) admit(rec);
   });
   recovering_ = false;
   stats_.recovery_replayed_records += replayed;
@@ -214,13 +212,20 @@ u64 AbdNode::recover_from_storage() {
   return replayed;
 }
 
+bool AbdNode::signed_by(NodeId signer, u64 digest, const crypto::Signature& sig) {
+  // The signer comparison first: a misattributed signature costs no
+  // registry call.
+  if (sig.signer == signer && verifier_.verify(digest, sig)) return true;
+  ++stats_.sig_rejects;
+  return false;
+}
+
 void AbdNode::handle(NodeId from, const WireMessage& msg) {
   switch (msg.kind) {
     case WireMessage::Kind::kAppend: {
-      // Verify the author's signature; a Byzantine relay cannot forge a
-      // correct author's record (Lemma 4.1).
-      if (!verifier_.verify(msg.append.digest(), msg.append.sig)) return;
-      if (msg.append.sig.signer != msg.append.author) return;
+      // Only the author's own signature admits a record; a Byzantine relay
+      // cannot forge a correct author's record (Lemma 4.1).
+      if (!signed_by(msg.append.author, msg.append.digest(), msg.append.sig)) return;
       admit(msg.append);
       WireMessage ack;
       ack.kind = WireMessage::Kind::kAck;
@@ -232,8 +237,10 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
     case WireMessage::Kind::kAck: {
       const auto it = pending_appends_.find(msg.append.digest());
       if (it == pending_appends_.end()) return;
-      if (!verifier_.verify(msg.append.digest(), msg.ack_sig)) return;
-      it->second.ackers.insert(msg.ack_sig.signer.index);
+      // An ack is a vote by its sender: a node cannot vote in another's
+      // name, even with a genuine ack that other node signed.
+      if (!signed_by(from, msg.append.digest(), msg.ack_sig)) return;
+      it->second.ackers.insert(from.index);
       if (it->second.ackers.size() >= quorum_) {
         auto done = std::move(it->second.done);
         pending_appends_.erase(it);
@@ -297,9 +304,7 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
       // record above our watermark — i.e. everything we could be missing —
       // so the merged result is identical to the full-view merge.
       for (const SignedAppend& rec : msg.view) {
-        if (rec.sig.signer == rec.author && verifier_.verify(rec.digest(), rec.sig)) {
-          admit(rec);
-        }
+        if (signed_by(rec.author, rec.digest(), rec.sig)) admit(rec);
       }
       pr.responders.insert(from.index);
       if (pr.responders.size() >= quorum_) {
@@ -336,8 +341,7 @@ void AbdNode::handle(NodeId from, const WireMessage& msg) {
       // The reply must be vouched for by the responder itself: a relay or
       // forger cannot re-sign another node's checkpoint (Lemma 4.1), and
       // a malformed summary fails the shape check before any comparison.
-      if (cp.sig.signer != from) return;
-      if (!verifier_.verify(cp.digest(), cp.sig)) return;
+      if (!signed_by(from, cp.digest(), cp.sig)) return;
       if (!builder_.well_formed(cp)) return;
       for (const auto& [peer, prev] : ps.replies) {
         if (peer == from.index) return;  // one reply per responder counts

@@ -12,7 +12,10 @@
 // Signatures make forged relays impossible (Lemma 4.1); the majority
 // intersection makes every completed append visible to every subsequent
 // read (Lemma 4.2) as long as a majority of nodes is correct and
-// available.
+// available. AbdNode::handle is the one place that checks record, ack and
+// checkpoint signatures: transports only carry messages (and authenticate
+// the `from` they report), so the check holds on every transport, behind
+// any decorator, and costs one registry verification per signature.
 //
 // Two wire-volume optimisations on top of the textbook algorithms (the
 // merged views and the quorum logic are unchanged; DESIGN.md §9):
@@ -113,6 +116,12 @@ class AbdNode {
     u64 checkpoint_syncs = 0;    ///< quorum-agreed checkpoint syncs completed
     u64 snapshots_written = 0;   ///< snapshots persisted to the storage seam
     u64 recovery_replayed_records = 0;  ///< log records replayed at recovery
+    /// Records, acks and checkpoints refused under Lemma 4.1: a signature
+    /// that does not verify or was made by someone other than the record's
+    /// author (acks and checkpoints: the sender). Read replies count each
+    /// refused record; disk replay counts too. Acks and replies arriving
+    /// after their operation finished are dropped unchecked, uncounted.
+    u64 sig_rejects = 0;
   };
 
   AbdNode(NodeId id, Transport& net, const crypto::KeyRegistry& keys, AbdConfig config = {});
@@ -187,6 +196,9 @@ class AbdNode {
 
  private:
   void handle(NodeId from, const WireMessage& msg);
+  /// Lemma 4.1: true iff `sig` is `signer`'s valid signature over `digest`;
+  /// otherwise counts a sig_reject.
+  bool signed_by(NodeId signer, u64 digest, const crypto::Signature& sig);
   void admit(const SignedAppend& rec);
   void persist(const SignedAppend& rec);
   void launch_append(i64 value, std::function<void()> done);

@@ -25,7 +25,7 @@ struct NodeStats {
   u64 appends_issued = 0;  ///< append operations this node started
   u64 reconnects = 0;      ///< outbound links re-dialed after a drop
   u64 auth_rejects = 0;    ///< handshakes refused (bad hello signature)
-  u64 sig_rejects = 0;     ///< wire messages dropped for bad signatures
+  u64 sig_rejects = 0;     ///< records/acks/checkpoints the node refused (Lemma 4.1)
   u64 reads_served_full = 0;   ///< read requests answered with a full view
   u64 reads_served_delta = 0;  ///< read requests answered above a frontier
   u64 read_records_sent = 0;   ///< records shipped in this node's read replies
@@ -40,6 +40,7 @@ struct NodeStats {
   u64 log_bytes = 0;       ///< bytes in the durable append log (0 without --store-dir)
   u64 snapshot_count = 0;  ///< snapshots loaded at open plus written since
   u64 recovery_replayed_records = 0;  ///< records replayed from disk at startup
+  u64 links_up = 0;        ///< outbound peer links currently connected
 };
 
 /// One row of the serialization table: script-facing name plus the member
@@ -71,6 +72,7 @@ inline constexpr NodeStatsField kNodeStatsFields[] = {
     {"log_bytes", &NodeStats::log_bytes},
     {"snapshot_count", &NodeStats::snapshot_count},
     {"recovery_replayed_records", &NodeStats::recovery_replayed_records},
+    {"links_up", &NodeStats::links_up},
 };
 
 inline constexpr usize kNodeStatsFieldCount = std::size(kNodeStatsFields);

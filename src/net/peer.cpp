@@ -102,99 +102,4 @@ bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry&
   return keys.verify(hello.digest(), hello.sig);
 }
 
-Admission validate_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& verifier,
-                           u64* filtered) {
-  switch (msg.kind) {
-    case mp::WireMessage::Kind::kAppend:
-      if (msg.append.sig.signer != msg.append.author) return Admission::kReject;
-      if (!verifier.verify(msg.append.digest(), msg.append.sig)) return Admission::kReject;
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kAck:
-      if (msg.ack_sig.signer != from) return Admission::kReject;
-      if (!verifier.verify(msg.append.digest(), msg.ack_sig)) return Admission::kReject;
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReq:
-    case mp::WireMessage::Kind::kCheckpointReq:
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kCheckpointReply:
-      // A checkpoint speaks for its responder: the signature must be the
-      // session peer's, over the checkpoint digest.
-      if (msg.checkpoint.sig.signer != from) return Admission::kReject;
-      if (!verifier.verify(msg.checkpoint.digest(), msg.checkpoint.sig)) {
-        return Admission::kReject;
-      }
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReply: {
-      const auto invalid = [&verifier](const mp::SignedAppend& rec) {
-        return rec.sig.signer != rec.author || !verifier.verify(rec.digest(), rec.sig);
-      };
-      const auto removed = std::erase_if(msg.view, invalid);
-      if (filtered != nullptr) *filtered += removed;
-      return Admission::kDeliver;
-    }
-  }
-  return Admission::kReject;
-}
-
-Admission collect_signature_checks(mp::WireMessage& msg, NodeId from,
-                                   std::vector<crypto::BatchCheck>& checks, u64* filtered) {
-  switch (msg.kind) {
-    case mp::WireMessage::Kind::kAppend:
-      if (msg.append.sig.signer != msg.append.author) return Admission::kReject;
-      checks.push_back(crypto::BatchCheck{msg.append.digest(), msg.append.sig, false});
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kAck:
-      if (msg.ack_sig.signer != from) return Admission::kReject;
-      checks.push_back(crypto::BatchCheck{msg.append.digest(), msg.ack_sig, false});
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReq:
-    case mp::WireMessage::Kind::kCheckpointReq:
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kCheckpointReply:
-      if (msg.checkpoint.sig.signer != from) return Admission::kReject;
-      checks.push_back(crypto::BatchCheck{msg.checkpoint.digest(), msg.checkpoint.sig, false});
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReply: {
-      // Structural filter now; signature verdicts arrive with the batch.
-      const auto removed = std::erase_if(msg.view, [](const mp::SignedAppend& rec) {
-        return rec.sig.signer != rec.author;
-      });
-      if (filtered != nullptr) *filtered += removed;
-      for (const mp::SignedAppend& rec : msg.view) {
-        checks.push_back(crypto::BatchCheck{rec.digest(), rec.sig, false});
-      }
-      return Admission::kDeliver;
-    }
-  }
-  return Admission::kReject;
-}
-
-Admission apply_verify_verdicts(mp::WireMessage& msg,
-                                std::span<const crypto::BatchCheck> checks, u64* filtered) {
-  switch (msg.kind) {
-    case mp::WireMessage::Kind::kAppend:
-    case mp::WireMessage::Kind::kAck:
-    case mp::WireMessage::Kind::kCheckpointReply:
-      return (!checks.empty() && checks[0].ok) ? Admission::kDeliver : Admission::kReject;
-    case mp::WireMessage::Kind::kReadReq:
-    case mp::WireMessage::Kind::kCheckpointReq:
-      return Admission::kDeliver;
-    case mp::WireMessage::Kind::kReadReply: {
-      // checks[i] corresponds to view[i]: collect_signature_checks queued
-      // them in view order after the structural filter.
-      usize kept = 0;
-      for (usize i = 0; i < msg.view.size(); ++i) {
-        if (i < checks.size() && checks[i].ok) {
-          if (kept != i) msg.view[kept] = std::move(msg.view[i]);
-          ++kept;
-        }
-      }
-      if (filtered != nullptr) *filtered += msg.view.size() - kept;
-      msg.view.resize(kept);
-      return Admission::kDeliver;
-    }
-  }
-  return Admission::kReject;
-}
-
 }  // namespace amm::net

@@ -1,4 +1,4 @@
-// Peer sessions and wire-level admission control for the TCP transport.
+// Peer sessions and hello authentication for the TCP transport.
 //
 // A Session owns one TCP connection's buffered state (receive buffer,
 // outbound frame queues, handshake progress). Inbound protocol sessions
@@ -15,13 +15,9 @@
 // and tracks the partially written frame so frames stay atomic on the
 // wire no matter where a short write lands.
 //
-// validate_message() enforces Lemma 4.1 at the wire for the inline
-// (unbatched) path; collect_signature_checks()/apply_verify_verdicts()
-// split the same admission rule into a structural pre-check plus deferred
-// signature verification so the transport can batch one drain cycle's
-// records through crypto::verify_batch. AbdNode re-checks on its own
-// layer — the wire check exists so a compromised peer cannot even spend
-// handler CPU.
+// The session layer authenticates peers only. Record, ack and checkpoint
+// signatures (Lemma 4.1) are checked once, by mp::AbdNode, which every
+// transport delivers to.
 #pragma once
 
 #include <deque>
@@ -29,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/batch.hpp"
 #include "crypto/signature.hpp"
 #include "net/codec.hpp"
 
@@ -134,12 +129,6 @@ struct FlushResult {
 /// with MSG_DONTWAIT regardless.
 FlushResult flush_session_buffers(Session& session, usize max_iov = kMaxWriteIov);
 
-/// Outcome of wire-level admission of one decoded message.
-enum class Admission : u8 {
-  kDeliver,   ///< hand to the protocol handler (possibly with view filtered)
-  kReject,    ///< drop the message, keep the session
-};
-
 /// Builds the hello this endpoint sends when dialing peer connections.
 Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 
@@ -147,44 +136,5 @@ Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);
 /// signature must be the claimed node's signature over the hello digest,
 /// and the claimed node id must be inside the cluster.
 bool verify_hello(const Hello& hello, u32 node_count, const crypto::KeyRegistry& keys);
-
-/// Lemma 4.1 at the wire. kAppend: author signature must verify and the
-/// signer must equal the author. kAck: the ack signature must verify and
-/// the signer must equal the session's authenticated peer (an acker cannot
-/// vote in someone else's name). kReadReply: invalidly signed records are
-/// removed from msg.view in place (`*filtered` counts them); the reply
-/// itself is still delivered. kReadReq carries no signature (the frontier
-/// is advisory: a lying frontier can only change *which* records come
-/// back, and the reader's own merge re-verifies all of them), and neither
-/// does kCheckpointReq. kCheckpointReply: the checkpoint signature must
-/// verify and its signer must equal the session's peer — a responder
-/// vouches for its own checkpoint; the quorum cross-check happens at the
-/// protocol layer.
-///
-/// Verification goes through a VerifyCache, so a record crossing this wire
-/// check and then the protocol-layer re-check (or arriving in many read
-/// replies) costs one registry verification; forged signatures are never
-/// cached and are re-rejected on every delivery.
-Admission validate_message(mp::WireMessage& msg, NodeId from, crypto::VerifyCache& verifier,
-                           u64* filtered);
-
-/// The batched split of validate_message. Performs the *structural* half
-/// of Lemma 4.1 admission immediately — kAppend signer==author, kAck
-/// signer==from, and the same filters on kReadReply records (`*filtered`
-/// counts structurally invalid records removed in place) — and appends
-/// the signature checks still owed to `checks`. Returns kReject when the
-/// message is structurally inadmissible (caller drops it without queueing
-/// any checks); kDeliver means "admissible iff its checks verify".
-Admission collect_signature_checks(mp::WireMessage& msg, NodeId from,
-                                   std::vector<crypto::BatchCheck>& checks, u64* filtered);
-
-/// Applies the verdicts verify_batch wrote into checks[first..first+count)
-/// for a message previously admitted by collect_signature_checks (the
-/// same msg, unmodified in between). kAppend/kAck: one failed check
-/// rejects the message. kReadReply: records whose check failed are
-/// removed from msg.view in place (`*filtered` counts them); the reply is
-/// still delivered. kReadReq: no checks, always delivered.
-Admission apply_verify_verdicts(mp::WireMessage& msg,
-                                std::span<const crypto::BatchCheck> checks, u64* filtered);
 
 }  // namespace amm::net

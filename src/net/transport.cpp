@@ -49,7 +49,6 @@ constexpr int kListenBacklog = 1024;
 TcpTransport::TcpTransport(TransportConfig config, const crypto::KeyRegistry& keys, Rng rng)
     : config_(std::move(config)),
       keys_(&keys),
-      verifier_(keys, config_.verify_cache_cap),
       rng_(rng),
       links_(config_.peers.size()) {
   AMM_EXPECTS(!config_.peers.empty());
@@ -321,9 +320,8 @@ bool TcpTransport::read_session(Session& session) {
 bool TcpTransport::drain_frames(Session& session) {
   // Frames are parsed in place (FrameView borrows the payload bytes) and
   // the consumed prefix is erased once at the end — one memmove per drain
-  // instead of one per frame. Handlers copy what they keep: decode_* and
-  // collect_signature_checks materialize owning structures, so no borrowed
-  // span outlives this loop.
+  // instead of one per frame. Handlers copy what they keep: decode_*
+  // materializes owning structures, so no borrowed span outlives this loop.
   usize consumed_total = 0;
   bool keep = true;
   for (;;) {
@@ -368,16 +366,7 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
       if (session.state != SessionState::kProtocol || session.outbound) return false;
       auto msg = decode_message(frame.payload);
       if (!msg) return false;  // corrupt payload: drop the connection
-      // Lemma 4.1 on the wire, split for batching: structural admission
-      // now, signature verdicts with the cycle's crypto batch.
-      const usize first = checks_.size();
-      if (collect_signature_checks(*msg, session.peer, checks_, &sig_rejects_) ==
-          Admission::kReject) {
-        ++sig_rejects_;
-        return true;  // reject the message, keep the session
-      }
-      pending_msgs_.push_back(
-          PendingMessage{session.peer, std::move(*msg), first, checks_.size() - first});
+      pending_msgs_.emplace_back(session.peer, std::move(*msg));
       return true;
     }
     case FrameKind::kCtlReq: {
@@ -394,30 +383,16 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
   return false;
 }
 
-void TcpTransport::verify_and_dispatch() {
-  if (pending_msgs_.empty()) {
-    checks_.clear();
-    return;
-  }
-  crypto::verify_batch(verifier_, checks_, verify_pool_);
+void TcpTransport::dispatch() {
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
   // order TCP guarantees) is preserved, and the sequence no longer depends
   // on which backend fired or in what order fds became ready.
   std::stable_sort(pending_msgs_.begin(), pending_msgs_.end(),
-                   [](const PendingMessage& a, const PendingMessage& b) {
-                     return a.from.index < b.from.index;
-                   });
-  for (PendingMessage& pending : pending_msgs_) {
-    const std::span<const crypto::BatchCheck> verdicts{checks_.data() + pending.first,
-                                                       pending.count};
-    if (apply_verify_verdicts(pending.msg, verdicts, &sig_rejects_) == Admission::kReject) {
-      ++sig_rejects_;
-      continue;
-    }
-    if (handler_) handler_(pending.from, pending.msg);
+                   [](const auto& a, const auto& b) { return a.first.index < b.first.index; });
+  for (const auto& [from, msg] : pending_msgs_) {
+    if (handler_) handler_(from, msg);
   }
   pending_msgs_.clear();
-  checks_.clear();
 }
 
 void TcpTransport::send_ctl_reply(u64 session_id, const CtlReply& reply) {
@@ -579,8 +554,7 @@ void TcpTransport::poll_once(std::chrono::milliseconds max_wait) {
     }
   }
 
-  // One crypto batch for everything admitted this cycle, then dispatch.
-  verify_and_dispatch();
+  dispatch();
 
   // Handlers may have produced traffic — flush opportunistically so a
   // request/reply exchange completes in one poll round-trip per hop.

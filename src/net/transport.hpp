@@ -5,10 +5,6 @@
 // the thread that calls poll_once()/run_for(); send()/broadcast() must be
 // called from that same thread (protocol code only ever runs inside
 // handlers, so this falls out naturally). No locks, no cross-thread state.
-// The one optional excursion is batched signature verification: when a
-// verify pool is attached, cache-missed signatures fan out across it
-// between the wait and the dispatch — KeyRegistry::verify is const and
-// pure, and the pool is joined before any handler runs.
 //
 // Readiness: the reactor registers every fd with an EventLoop
 // (net/event_loop.hpp) — epoll on Linux, a persistent poll set elsewhere —
@@ -20,12 +16,13 @@
 // batch of small frames — with POLLOUT interest maintained only while
 // bytes remain.
 //
-// Message dispatch is deterministic per author: frames admitted in one
-// drain cycle defer their signature checks into a single crypto batch,
-// then dispatch sorted by author id (stable, so per-session FIFO order —
-// the only order TCP guarantees — is preserved). The delivered message
-// sequence therefore does not depend on which readiness backend fired or
-// in what order fds became ready.
+// Message dispatch is deterministic per author: messages decoded in one
+// drain cycle dispatch sorted by author id (stable, so per-session FIFO
+// order — the only order TCP guarantees — is preserved). The delivered
+// message sequence therefore does not depend on which readiness backend
+// fired or in what order fds became ready. The transport checks no record,
+// ack or checkpoint signature: the handler's node (mp::AbdNode) is the one
+// Lemma 4.1 boundary, on every transport.
 //
 // Backpressure: each session carries a byte budget with high/low
 // watermarks. A peer that stops reading pushes the session over the high
@@ -38,7 +35,8 @@
 // dials one outbound connection to every other node. Outbound connections
 // carry this node's frames (opened with an authenticated kHello); inbound
 // connections carry the peers' frames (their hello is verified against
-// crypto::KeyRegistry before any message is dispatched). A control client
+// crypto::KeyRegistry before any message is dispatched, so the handler's
+// `from` is an authenticated peer id). A control client
 // (amm_ctl) dials in and speaks kCtlReq/kCtlRep without a hello.
 //
 // Reconnect policy: a failed or dropped outbound link retries with capped
@@ -65,7 +63,6 @@
 #include "net/event_loop.hpp"
 #include "net/peer.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace amm::net {
 
@@ -87,8 +84,6 @@ struct TransportConfig {
   usize outbound_high_watermark = 4u << 20;
   usize outbound_low_watermark = 1u << 20;
   usize max_write_iov = kMaxWriteIov;  ///< frames coalesced per writev
-  /// Wire-admission verify cache key capacity (0 = unbounded).
-  usize verify_cache_cap = crypto::VerifyCache::kDefaultCapacity;
 };
 
 class TcpTransport final : public mp::Transport {
@@ -115,9 +110,8 @@ class TcpTransport final : public mp::Transport {
   void connect_peers();
 
   /// Runs one reactor iteration: waits up to `max_wait` for socket events
-  /// or the next reconnect deadline, then performs all due I/O, batch-
-  /// verifies and delivers all admitted messages, and flushes sessions
-  /// with queued output.
+  /// or the next reconnect deadline, then performs all due I/O, delivers
+  /// all decoded messages, and flushes sessions with queued output.
   void poll_once(std::chrono::milliseconds max_wait);
 
   /// Pumps the reactor until `deadline` elapses.
@@ -132,12 +126,6 @@ class TcpTransport final : public mp::Transport {
   /// ctl handler mid-dispatch cannot destroy sessions the cycle still
   /// references.
   void kick_outbound();
-
-  /// Optional worker pool for the batched signature sweep. The pool must
-  /// outlive the transport (or be detached with nullptr first); it is
-  /// only used between wait and dispatch, never concurrently with
-  /// handlers.
-  void set_verify_pool(ThreadPool* pool) { verify_pool_ = pool; }
 
   // mp::Transport
   u32 node_count() const override { return static_cast<u32>(config_.peers.size()); }
@@ -156,13 +144,13 @@ class TcpTransport final : public mp::Transport {
   // observability
   u64 reconnects() const { return reconnects_; }
   u64 auth_rejects() const { return auth_rejects_; }
-  u64 sig_rejects() const { return sig_rejects_; }
   u64 frames_dropped() const { return frames_dropped_; }
   u64 backpressure_drops() const { return backpressure_drops_; }
   u64 writev_calls() const { return writev_calls_; }
-  u64 verify_cache_hits() const { return verifier_.hits(); }
-  u64 verify_cache_misses() const { return verifier_.misses(); }
-  u64 verify_cache_evictions() const { return verifier_.evictions(); }
+  /// Always 0: the transport verifies no signatures (AbdNode does). Kept
+  /// for callers that sum transport and node verify counters.
+  u64 verify_cache_hits() const { return 0; }
+  u64 verify_cache_misses() const { return 0; }
   u32 connected_outbound() const;
   /// Unsent bytes currently buffered toward `peer` (0 if no live link).
   usize outbound_queued_bytes(NodeId peer) const;
@@ -186,15 +174,6 @@ class TcpTransport final : public mp::Transport {
     std::deque<FrameBuf> pending;      ///< encoded frames awaiting a link
   };
 
-  /// One admitted kMsg whose signature verdicts are still in the cycle
-  /// batch: checks_[first, first+count) belong to it.
-  struct PendingMessage {
-    NodeId from;
-    mp::WireMessage msg;
-    usize first = 0;
-    usize count = 0;
-  };
-
   void dial(u32 peer_index);
   void on_link_connected(Link& link, u32 peer_index);
   void on_link_down(Link& link);
@@ -204,7 +183,7 @@ class TcpTransport final : public mp::Transport {
   bool read_session(Session& session);     ///< false = session died
   bool drain_frames(Session& session);     ///< false = corrupt, drop it
   bool handle_frame(Session& session, const FrameView& frame);
-  void verify_and_dispatch();              ///< batch-verify, sort, deliver
+  void dispatch();                         ///< sort by author, deliver
   void flush_and_sync(Session& session);   ///< writev drain + interest upkeep
   void flush_dirty();
   void mark_dirty(Session& session);
@@ -216,11 +195,9 @@ class TcpTransport final : public mp::Transport {
 
   TransportConfig config_;
   const crypto::KeyRegistry* keys_;
-  crypto::VerifyCache verifier_;  ///< wire-admission verify cache (successes only)
   Rng rng_;
   Handler handler_;
   CtlHandler ctl_handler_;
-  ThreadPool* verify_pool_ = nullptr;
 
   std::unique_ptr<EventLoop> loop_;
   int listen_fd_ = -1;
@@ -239,14 +216,12 @@ class TcpTransport final : public mp::Transport {
   // Per-cycle scratch, cleared each poll_once (members to reuse capacity).
   std::vector<ReadyEvent> events_;
   std::vector<u64> dirty_;  ///< tokens of sessions with queued output
-  std::vector<crypto::BatchCheck> checks_;
-  std::vector<PendingMessage> pending_msgs_;
+  std::vector<std::pair<NodeId, mp::WireMessage>> pending_msgs_;  ///< decoded, not yet dispatched
 
   u64 messages_sent_ = 0;
   u64 bytes_sent_ = 0;
   u64 reconnects_ = 0;
   u64 auth_rejects_ = 0;
-  u64 sig_rejects_ = 0;
   u64 frames_dropped_ = 0;
   u64 backpressure_drops_ = 0;
   u64 writev_calls_ = 0;

@@ -11,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 
 #include "mp/abd.hpp"
+#include "mp/network.hpp"
 #include "net/decision.hpp"
 
 namespace amm::net {
@@ -204,31 +208,184 @@ TEST(TcpTransport, UnauthenticatedHelloDropped) {
   EXPECT_EQ(handler_calls, 0u);
 }
 
-TEST(TcpTransport, ForgedAppendRejectedOnTheWire) {
-  // A correctly authenticated peer injecting a record with a forged author
-  // signature: the transport drops the message before the handler runs
-  // (Lemma 4.1 enforced at the wire).
-  TcpCluster cluster(2);
-  u64 delivered = 0;
-  cluster.transports[0]->attach(NodeId{0},
-                                [&](NodeId, const mp::WireMessage&) { ++delivered; });
+/// Forwards every call unchanged, like a tracing or fault-injecting
+/// wrapper. A node behind it must refuse forgeries exactly as it does on
+/// the bare transport.
+class PassThrough final : public mp::Transport {
+ public:
+  explicit PassThrough(mp::Transport& inner) : inner_(&inner) {}
+  u32 node_count() const override { return inner_->node_count(); }
+  void attach(NodeId id, Handler handler) override { inner_->attach(id, std::move(handler)); }
+  void send(NodeId from, NodeId to, mp::WireMessage msg) override {
+    inner_->send(from, to, std::move(msg));
+  }
+  void broadcast(NodeId from, const mp::WireMessage& msg) override { inner_->broadcast(from, msg); }
+  u64 messages_sent() const override { return inner_->messages_sent(); }
+  u64 bytes_sent() const override { return inner_->bytes_sent(); }
 
-  mp::WireMessage forged;
-  forged.kind = mp::WireMessage::Kind::kAppend;
-  forged.append.author = NodeId{0};  // claims node 0 authored it
-  forged.append.seq = 1;
-  forged.append.value = -42;
-  forged.append.sig = cluster.keys.sign(NodeId{1}, forged.append.digest());  // signer != author
-  cluster.transports[1]->send(NodeId{1}, NodeId{0}, forged);
+ private:
+  mp::Transport* inner_;
+};
 
-  mp::WireMessage valid;
-  valid.kind = mp::WireMessage::Kind::kReadReq;
-  valid.read_id = 9;
-  cluster.transports[1]->send(NodeId{1}, NodeId{0}, valid);
+enum class Path { kSimulated, kTcp, kDecoratedTcp };
 
-  ASSERT_TRUE(cluster.pump_until([&] { return delivered > 0; }));
-  EXPECT_EQ(delivered, 1u);  // the read request, never the forgery
-  EXPECT_GE(cluster.transports[0]->sig_rejects(), 1u);
+/// Three nodes on one path: node 0 is a correct AbdNode (the victim), node 1
+/// is the test acting as a Byzantine peer, node 2 has crashed. Node 0 then
+/// finishes no quorum operation without node 1, so a forgery that slipped
+/// through would decide the outcome.
+struct Lemma41Harness {
+  explicit Lemma41Harness(Path path) {
+    if (path == Path::kSimulated) {
+      sim = std::make_unique<mp::Network>(3, 0.1, 1.0, Rng(41));
+      transports.assign(3, sim.get());
+    } else {
+      tcp = std::make_unique<TcpCluster>(3, kSeed);
+      for (const auto& transport : tcp->transports) {
+        transports.push_back(transport.get());
+        if (path == Path::kDecoratedTcp) {
+          wrapped.push_back(std::make_unique<PassThrough>(*transport));
+          transports.back() = wrapped.back().get();
+        }
+      }
+    }
+    transports[1]->attach(NodeId{1}, [this](NodeId, const mp::WireMessage& msg) {
+      received[msg.kind] = msg;
+    });
+    crashed = std::make_unique<mp::CrashedNode>(NodeId{2}, *transports[2]);
+    victim = std::make_unique<mp::AbdNode>(NodeId{0}, *transports[0], keys);
+  }
+
+  /// The simulator runs to quiescence; TCP pumps until `done` or timeout.
+  bool pump_until(const std::function<bool()>& done) {
+    if (!sim) return tcp->pump_until(done);
+    sim->queue().run();
+    return done();
+  }
+
+  /// The last message of `kind` the victim sent to node 1.
+  mp::WireMessage await(mp::WireMessage::Kind kind) {
+    EXPECT_TRUE(pump_until([&] { return received.contains(kind); }));
+    return received[kind];
+  }
+
+  /// Sends `msg` from node 1 to the victim and pumps until `handled`.
+  void deliver(mp::WireMessage msg, const std::function<bool()>& handled) {
+    transports[1]->send(NodeId{1}, NodeId{0}, std::move(msg));
+    EXPECT_TRUE(pump_until(handled));
+  }
+
+  /// Sends a forgery and pumps until the victim has refused it.
+  void deliver_forgery(mp::WireMessage msg) {
+    const u64 before = victim->stats().sig_rejects;
+    deliver(std::move(msg), [&] { return victim->stats().sig_rejects > before; });
+  }
+
+  mp::SignedAppend record(NodeId author, i64 value, NodeId signer) const {
+    mp::SignedAppend rec;
+    rec.author = author;
+    rec.value = value;
+    rec.sig = keys.sign(signer, rec.digest());
+    return rec;
+  }
+
+  bool holds(i64 value) const {
+    const auto& view = victim->local_view();
+    return std::any_of(view.begin(), view.end(),
+                       [&](const mp::SignedAppend& r) { return r.value == value; });
+  }
+
+  static constexpr u64 kSeed = 1;
+  crypto::KeyRegistry keys{3, kSeed};  // the same keys the TcpCluster derives
+  std::unique_ptr<mp::Network> sim;
+  std::unique_ptr<TcpCluster> tcp;
+  std::vector<std::unique_ptr<PassThrough>> wrapped;
+  std::vector<mp::Transport*> transports;
+  std::map<mp::WireMessage::Kind, mp::WireMessage> received;  ///< by node 1
+  std::unique_ptr<mp::CrashedNode> crashed;
+  std::unique_ptr<mp::AbdNode> victim;  // last: detached before the transports die
+};
+
+/// One forgery per signed message kind: it must have no effect on the
+/// victim, and valid traffic around it must still take effect.
+const std::pair<const char*, void (*)(Lemma41Harness&)> kForgeries[] = {
+    {"kAppend signed by a node other than its author",
+     [](Lemma41Harness& h) {
+       mp::WireMessage append;
+       append.kind = mp::WireMessage::Kind::kAppend;
+       append.append = h.record(NodeId{2}, -1, /*signer=*/NodeId{1});
+       h.deliver_forgery(append);
+       EXPECT_FALSE(h.holds(-1));
+
+       append.append = h.record(NodeId{1}, 1, NodeId{1});
+       h.deliver(append, [&] { return h.holds(1); });
+     }},
+    {"kAck signed by a node other than its sender",
+     [](Lemma41Harness& h) {
+       bool appended = false;
+       h.victim->begin_append(7, [&] { appended = true; });
+       mp::WireMessage ack;
+       ack.kind = mp::WireMessage::Kind::kAck;
+       ack.append = h.await(mp::WireMessage::Kind::kAppend).append;
+       // Node 2's genuine ack, relayed by node 1: it must not count as a vote.
+       ack.ack_sig = h.keys.sign(NodeId{2}, ack.append.digest());
+       h.deliver_forgery(ack);
+       EXPECT_FALSE(appended);
+
+       ack.ack_sig = h.keys.sign(NodeId{1}, ack.append.digest());
+       h.deliver(ack, [&] { return appended; });
+     }},
+    {"kReadReply with one forged record among valid ones",
+     [](Lemma41Harness& h) {
+       std::vector<mp::SignedAppend> result;
+       h.victim->begin_read([&](const std::vector<mp::SignedAppend>& view) { result = view; });
+       const mp::WireMessage request = h.await(mp::WireMessage::Kind::kReadReq);
+       mp::WireMessage reply;
+       reply.kind = mp::WireMessage::Kind::kReadReply;
+       reply.read_id = request.read_id;
+       reply.frontier_echo = mp::frontier_digest(request.frontier);
+       mp::SignedAppend forged = h.record(NodeId{2}, -1, NodeId{2});
+       forged.seq = 1;  // node 2's genuine signature, over another record
+       reply.view = {h.record(NodeId{1}, 1, NodeId{1}), forged, h.record(NodeId{2}, 2, NodeId{2})};
+       h.deliver_forgery(reply);
+       EXPECT_EQ(result.size(), 2u);  // the read completed on this reply
+       EXPECT_TRUE(h.holds(1) && h.holds(2));
+       EXPECT_FALSE(h.holds(-1));
+     }},
+    {"kCheckpointReply signed by a node other than the responder",
+     [](Lemma41Harness& h) {
+       bool synced = false;
+       h.victim->begin_checkpoint_sync([&](bool ok) { synced = ok; });
+       mp::WireMessage reply;
+       reply.kind = mp::WireMessage::Kind::kCheckpointReply;
+       reply.read_id = h.await(mp::WireMessage::Kind::kCheckpointReq).read_id;
+       // Node 2's checkpoint agrees with the victim's own, so counting it
+       // would complete the sync.
+       reply.checkpoint.sig = h.keys.sign(NodeId{2}, reply.checkpoint.digest());
+       h.deliver_forgery(reply);
+       EXPECT_FALSE(synced);
+
+       reply.checkpoint.sig = h.keys.sign(NodeId{1}, reply.checkpoint.digest());
+       h.deliver(reply, [&] { return synced; });
+     }},
+};
+
+TEST(Lemma41, ForgeriesRejectedOnEveryTransport) {
+  // AbdNode is the one place that checks signatures, so every path into
+  // it — the simulator, bare TCP and a decorator over TCP — refuses the
+  // same forgeries and counts them the same way.
+  for (const auto& [forgery, run] : kForgeries) {
+    SCOPED_TRACE(forgery);
+    std::vector<u64> rejects;
+    for (const auto& [path, name] : {std::pair{Path::kSimulated, "mp::Network"},
+                                     std::pair{Path::kTcp, "TcpTransport"},
+                                     std::pair{Path::kDecoratedTcp, "PassThrough(TcpTransport)"}}) {
+      SCOPED_TRACE(name);
+      Lemma41Harness harness(path);
+      run(harness);
+      rejects.push_back(harness.victim->stats().sig_rejects);
+    }
+    EXPECT_EQ(rejects, std::vector<u64>(3, 1u));
+  }
 }
 
 TEST(TcpTransport, DecisionRuleAgreesAcrossNodes) {

@@ -1,9 +1,9 @@
 // amm_node — a real append-memory node: one AbdNode (§4, Algorithms 2–3)
-// hosted behind the poll-based TCP transport, plus the DAG BA decision
+// hosted behind the event-loop TCP transport, plus the DAG BA decision
 // rule (§5.3, Algorithm 6) served over the control plane.
 //
 //   amm_node --id I --n N [--seed S] [--host 127.0.0.1] [--base-port 9500]
-//            [--backend auto|poll|epoll] [--verify-threads T]
+//            [--backend auto|poll|epoll]
 //            [--high-watermark BYTES] [--low-watermark BYTES]
 //            [--compact off|retain|summary] [--compact-lag L]
 //            [--verify-cache-cap KEYS]
@@ -52,7 +52,6 @@
 #include "net/decision.hpp"
 #include "net/transport.hpp"
 #include "storage/file_log.hpp"
-#include "support/thread_pool.hpp"
 #include "tools/cli.hpp"
 
 namespace {
@@ -153,18 +152,11 @@ int main(int argc, char** argv) {
   }
   config.outbound_high_watermark = static_cast<usize>(cli.high_watermark);
   config.outbound_low_watermark = static_cast<usize>(cli.low_watermark);
-  config.verify_cache_cap = abd_config.verify_cache_cap;
   net::TcpTransport transport(config, keys, Rng::for_stream(seed, 0x6e6f6465 + id));
   if (!transport.start()) {
     std::fprintf(stderr, "amm_node: cannot listen on %s:%u\n", host.c_str(),
                  static_cast<unsigned>(base_port + id));
     return 2;
-  }
-  const u32 verify_threads = cli.verify_threads;
-  std::unique_ptr<ThreadPool> verify_pool;
-  if (verify_threads > 0) {
-    verify_pool = std::make_unique<ThreadPool>(verify_threads);
-    transport.set_verify_pool(verify_pool.get());
   }
 
   mp::AbdNode node(NodeId{id}, transport, keys, abd_config);
@@ -197,15 +189,14 @@ int main(int argc, char** argv) {
     stats.appends_issued = node.appends_issued();
     stats.reconnects = transport.reconnects();
     stats.auth_rejects = transport.auth_rejects();
-    stats.sig_rejects = transport.sig_rejects();
+    stats.sig_rejects = node.stats().sig_rejects;
     stats.reads_served_full = node.stats().reads_served_full;
     stats.reads_served_delta = node.stats().reads_served_delta;
     stats.read_records_sent = node.stats().read_records_sent;
     stats.read_fallbacks = node.stats().read_fallbacks;
-    stats.verify_cache_hits = node.verify_cache_hits() + transport.verify_cache_hits();
-    stats.verify_cache_misses = node.verify_cache_misses() + transport.verify_cache_misses();
-    stats.verify_cache_evictions =
-        node.verify_cache_evictions() + transport.verify_cache_evictions();
+    stats.verify_cache_hits = node.verify_cache_hits();
+    stats.verify_cache_misses = node.verify_cache_misses();
+    stats.verify_cache_evictions = node.verify_cache_evictions();
     // The checkpoint's count, not the local fold-activity counter: a
     // restarted node that *adopted* its checkpoint folded nothing locally
     // but still summarizes folded_records records.
@@ -218,6 +209,7 @@ int main(int argc, char** argv) {
       stats.snapshot_count = store->stats().snapshot_count;
     }
     stats.recovery_replayed_records = node.stats().recovery_replayed_records;
+    stats.links_up = transport.connected_outbound();
     return stats;
   };
 

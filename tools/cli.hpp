@@ -272,7 +272,6 @@ struct NodeConfig {
   std::string host = "127.0.0.1";
   u16 base_port = 9500;
   std::string backend = "auto";  // event loop: auto|poll|epoll
-  u32 verify_threads = 0;
   u64 high_watermark = 0;  ///< caller seeds from net::TransportConfig
   u64 low_watermark = 0;   ///< caller seeds from net::TransportConfig
   std::string compact = "off";  // off|retain|summary
@@ -294,8 +293,6 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_string("host", &cfg->host, "listen/dial host");
   opts.add_u16("base-port", &cfg->base_port, "node i listens on base-port+i");
   opts.add_enum("backend", &cfg->backend, {"auto", "poll", "epoll"}, "event-loop backend");
-  opts.add_u32("verify-threads", &cfg->verify_threads,
-               "signature-verification worker threads (0 = verify inline)");
   opts.add_u64("high-watermark", &cfg->high_watermark,
                "per-peer outbound backpressure high watermark, bytes");
   opts.add_u64("low-watermark", &cfg->low_watermark,

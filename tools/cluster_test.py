@@ -586,12 +586,13 @@ def main() -> None:
         # Restart one killed node with a blank view: its first read must
         # full-sync (frontier at zero -> responders ship whole views), its
         # second must be back on cheap deltas.
+        # Wait on link counts, not on the reconnects counter: phase 1 can end
+        # before a survivor's first dial to this node succeeded, and then that
+        # link's first connection, after the restart, is no reconnect.
         restarted = args.n - 1
-        pre_reconnects = {node: cluster.stats(node).get("reconnects", 0)
-                          for node in survivors}
         cluster.restart(restarted)
         deadline = time.monotonic() + 30
-        while any(cluster.stats(node).get("reconnects", 0) <= pre_reconnects[node]
+        while any(cluster.stats(node).get("links_up", 0) != len(survivors)
                   for node in survivors):
             if time.monotonic() > deadline:
                 raise ClusterError("survivors never reconnected to the restarted node")

@@ -23,8 +23,8 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
 
 Exit status is nonzero if any swarm invocation fails (incomplete rung,
 unreachable cluster), making this a cheap end-to-end smoke for the whole
-high-fanout path: connect burst -> accept -> ctl append -> ABD quorum ->
-batched verify -> ctl reply, under both readiness backends.
+high-fanout path: connect burst -> accept -> ctl append -> signature check
+and ABD quorum -> ctl reply, under both readiness backends.
 
 Usage:
   tools/swarm_smoke.py --bin-dir build/tools [--n 3] [--scale 8,32]
