@@ -9,8 +9,6 @@
 // (documented as a substitution in DESIGN.md §2).
 #pragma once
 
-#include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -80,105 +78,28 @@ class SigningHandle {
 
 /// Order-sensitive digest combiner (not a cryptographic hash; collision
 /// resistance against the simulated adversary is provided by the keyed
-/// finalization inside sign()).
+/// finalization inside sign()). finish() equals siphash24(kKey, words), but
+/// the words stream into the SipHash state instead of a buffer.
 class DigestBuilder {
  public:
   DigestBuilder& add(u64 word) {
-    words_.push_back(word);
+    state_.compress(word);
+    ++words_;
     return *this;
   }
 
   u64 finish() const {
-    // Fixed public key: this is a plain hash; secrecy comes from sign().
-    return siphash24(SipKey{0x414d4d2064696765ULL, 0x7374206275696c64ULL}, std::span(words_));
+    SipState st = state_;  // siphash24's last block: byte length mod 256, no tail
+    st.compress(static_cast<u64>((words_ * 8) & 0xff) << 56);
+    return st.finalize();
   }
+
+  /// Fixed public key: this is a plain hash; secrecy comes from sign().
+  static constexpr SipKey kKey{0x414d4d2064696765ULL, 0x7374206275696c64ULL};
 
  private:
-  std::vector<u64> words_;
-};
-
-/// Memoizes *successful* verifications so a record (or ack) that travels
-/// through a node several times — broadcast delivery, then every read
-/// reply that carries it — pays for one registry verification instead of
-/// one per delivery. Keyed by (digest, signer, tag), so a forgery that
-/// reuses a verified record's digest with a different signer or tag never
-/// hits the cache; negative results are never cached, so forged signatures
-/// are re-checked (and re-rejected) on every path. With the simulated
-/// signatures the saving is one siphash per delivery; with a real scheme
-/// (Ed25519) it would be the difference between ~50 µs and a set lookup.
-///
-/// Bounded: entries live in two generations (hot, cold). Admissions go to
-/// hot; a cold hit promotes back to hot. When hot exceeds capacity/2 the
-/// cold generation is dropped and hot becomes cold — a segmented LRU whose
-/// working set survives every rotation while entries untouched for two
-/// rotations fall out. Total footprint stays <= ~capacity keys. The owning
-/// protocol node additionally calls rotate() when it compacts its decided
-/// prefix: records folded into a checkpoint are never re-verified, so
-/// their verdicts are the first to age out (checkpoint-aware eviction).
-class VerifyCache {
- public:
-  /// `capacity` bounds hot+cold key count; 0 means unbounded (no rotation
-  /// except explicit rotate() calls).
-  explicit VerifyCache(const KeyRegistry& registry, usize capacity = kDefaultCapacity)
-      : registry_(&registry), capacity_(capacity) {}
-
-  /// Same contract as KeyRegistry::verify, plus memoization of successes.
-  bool verify(u64 digest, const Signature& sig) {
-    const u64 key = cache_key(digest, sig);
-    if (hot_.contains(key)) {
-      ++hits_;
-      return true;
-    }
-    if (cold_.erase(key) > 0) {
-      insert_hot(key);  // promotion: recently useful entries survive rotation
-      ++hits_;
-      return true;
-    }
-    ++misses_;
-    if (!registry_->verify(digest, sig)) return false;  // forgeries are never cached
-    insert_hot(key);
-    return true;
-  }
-
-  /// Ages both generations one step: cold is dropped (counted as
-  /// evictions), hot becomes cold. Called by the owner after compacting
-  /// its decided prefix — folded records never re-verify, so their cached
-  /// verdicts are dead weight.
-  void rotate() {
-    evictions_ += cold_.size();
-    cold_ = std::move(hot_);
-    hot_.clear();
-  }
-
-  u64 hits() const { return hits_; }
-  u64 misses() const { return misses_; }
-  u64 evictions() const { return evictions_; }
-  usize capacity() const { return capacity_; }
-  usize size() const { return hot_.size() + cold_.size(); }
-
-  static constexpr usize kDefaultCapacity = 1u << 16;
-
- private:
-  static u64 cache_key(u64 digest, const Signature& sig) {
-    return DigestBuilder{}
-        .add(digest)
-        .add(static_cast<u64>(sig.signer.index))
-        .add(sig.tag)
-        .finish();
-  }
-
-  void insert_hot(u64 key) {
-    hot_.insert(key);
-    if (capacity_ != 0 && hot_.size() > capacity_ / 2) rotate();
-  }
-
-  const KeyRegistry* registry_;
-  usize capacity_;
-  std::unordered_set<u64> hot_;
-  std::unordered_set<u64> cold_;
-  u64 hits_ = 0;
-  u64 misses_ = 0;
-  u64 evictions_ = 0;
+  SipState state_{kKey};
+  u64 words_ = 0;
 };
 
 }  // namespace amm::crypto

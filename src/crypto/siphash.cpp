@@ -3,54 +3,6 @@
 #include <cstring>
 
 namespace amm::crypto {
-namespace {
-
-constexpr u64 rotl(u64 x, int b) { return (x << b) | (x >> (64 - b)); }
-
-struct SipState {
-  u64 v0, v1, v2, v3;
-
-  explicit SipState(SipKey key)
-      : v0(0x736f6d6570736575ULL ^ key.k0),
-        v1(0x646f72616e646f6dULL ^ key.k1),
-        v2(0x6c7967656e657261ULL ^ key.k0),
-        v3(0x7465646279746573ULL ^ key.k1) {}
-
-  void round() {
-    v0 += v1;
-    v1 = rotl(v1, 13);
-    v1 ^= v0;
-    v0 = rotl(v0, 32);
-    v2 += v3;
-    v3 = rotl(v3, 16);
-    v3 ^= v2;
-    v0 += v3;
-    v3 = rotl(v3, 21);
-    v3 ^= v0;
-    v2 += v1;
-    v1 = rotl(v1, 17);
-    v1 ^= v2;
-    v2 = rotl(v2, 32);
-  }
-
-  void compress(u64 m) {
-    v3 ^= m;
-    round();
-    round();
-    v0 ^= m;
-  }
-
-  u64 finalize() {
-    v2 ^= 0xff;
-    round();
-    round();
-    round();
-    round();
-    return v0 ^ v1 ^ v2 ^ v3;
-  }
-};
-
-}  // namespace
 
 u64 siphash24(SipKey key, std::span<const std::byte> data) {
   SipState st(key);

@@ -4,10 +4,13 @@
 // Common flags:
 //   --trials N    Monte-Carlo trials per configuration (default per-exp)
 //   --seed S      master seed (default 20200715 — the SPAA'20 date)
-//   --threads T   worker threads (default: hardware)
+//   --threads T   worker threads (default 0: hardware), at most kMaxThreads
 //   --csv         emit CSV instead of the ASCII table
 //   --json FILE   additionally write every emitted table to FILE as JSON
 //                 (machine-readable summary; aggregated by collect_bench.py)
+//
+// A malformed or out-of-range value (--trials 0, --seed abc, --threads -1)
+// prints the flag and the value and exits 2 before the worker pool exists.
 #pragma once
 
 #include <fstream>
@@ -22,12 +25,34 @@
 
 namespace amm::exp {
 
+/// Upper bound on --threads: above any core count the experiments run on,
+/// and low enough that a typo never asks the OS for thousands of threads.
+inline constexpr i64 kMaxThreads = 256;
+
+/// --trials: at least 1 (default `fallback`); exits 2 otherwise.
+inline usize trials_arg(const CliArgs& args, usize fallback) {
+  const i64 trials = args.get_int("trials", static_cast<i64>(fallback));
+  if (trials < 1) args.reject("trials", "need at least 1 trial");
+  return static_cast<usize>(trials);
+}
+
+/// --threads: 0 (hardware concurrency) to kMaxThreads; exits 2 otherwise.
+inline unsigned threads_arg(const CliArgs& args) {
+  const i64 threads = args.get_int("threads", 0);
+  if (threads < 0 || threads > kMaxThreads) {
+    args.reject("threads", "need 0 (hardware) to " + std::to_string(kMaxThreads));
+  }
+  return static_cast<unsigned>(threads);
+}
+
 struct Harness {
+  // Members initialize in declaration order, so every flag is checked
+  // before the pool is built.
   Harness(int argc, const char* const* argv, const std::string& title, usize default_trials)
       : args(argc, argv),
-        trials(static_cast<usize>(args.get_int("trials", static_cast<i64>(default_trials)))),
+        trials(trials_arg(args, default_trials)),
         seed(static_cast<u64>(args.get_int("seed", 20200715))),
-        pool(static_cast<unsigned>(args.get_int("threads", 0))),
+        pool(threads_arg(args)),
         csv(args.has_flag("csv")),
         json_path(args.get_string("json", "")),
         title_(title) {

@@ -8,7 +8,6 @@ AbdNode::AbdNode(NodeId id, Transport& net, const crypto::KeyRegistry& keys, Abd
     : id_(id),
       net_(&net),
       keys_(&keys),
-      verifier_(keys, config.verify_cache_cap),
       config_(config),
       builder_(keys.node_count()),
       quorum_(net.node_count() / 2 + 1),
@@ -46,9 +45,7 @@ void AbdNode::compact_below(u32 s_cut) {
     std::erase_if(view_, [s_cut](const SignedAppend& r) { return r.seq < s_cut; });
   }
   // parked_ only ever holds seqs above the watermark (>= the cut), so
-  // there is nothing to prune there; the verify cache ages a generation —
-  // folded records are never re-verified, so their verdicts die first.
-  verifier_.rotate();
+  // there is nothing to prune there.
 }
 
 void AbdNode::maybe_auto_compact() {
@@ -215,7 +212,10 @@ u64 AbdNode::recover_from_storage() {
 bool AbdNode::signed_by(NodeId signer, u64 digest, const crypto::Signature& sig) {
   // The signer comparison first: a misattributed signature costs no
   // registry call.
-  if (sig.signer == signer && verifier_.verify(digest, sig)) return true;
+  if (sig.signer == signer) {
+    ++stats_.registry_verifies;
+    if (keys_->verify(digest, sig)) return true;
+  }
   ++stats_.sig_rejects;
   return false;
 }

@@ -1,6 +1,6 @@
 // Unified node telemetry: every counter a hosted node exports — transport,
-// protocol, cache, compaction and (since the durable log) storage — in one
-// struct with one serialization order.
+// protocol, compaction and (since the durable log) storage — in one struct
+// with one serialization order.
 //
 // kNodeStatsFields is the single source of truth: the control-plane codec
 // (net/codec.cpp), amm_ctl's `stats` printout, amm_swarm's per-node table
@@ -30,9 +30,6 @@ struct NodeStats {
   u64 reads_served_delta = 0;  ///< read requests answered above a frontier
   u64 read_records_sent = 0;   ///< records shipped in this node's read replies
   u64 read_fallbacks = 0;      ///< this node's delta reads that fell back to full
-  u64 verify_cache_hits = 0;   ///< signature checks answered by the verify cache
-  u64 verify_cache_misses = 0;     ///< cache probes that went to the registry
-  u64 verify_cache_evictions = 0;  ///< cache keys aged out by rotation
   u64 records_folded = 0;  ///< records summarized by the checkpoint
   u64 live_records = 0;    ///< record bodies currently held (view size)
   u64 parked_rejects = 0;  ///< admissions refused by the parked cap
@@ -62,9 +59,6 @@ inline constexpr NodeStatsField kNodeStatsFields[] = {
     {"reads_delta", &NodeStats::reads_served_delta},
     {"read_records_sent", &NodeStats::read_records_sent},
     {"read_fallbacks", &NodeStats::read_fallbacks},
-    {"verify_cache_hits", &NodeStats::verify_cache_hits},
-    {"verify_cache_misses", &NodeStats::verify_cache_misses},
-    {"verify_cache_evictions", &NodeStats::verify_cache_evictions},
     {"records_folded", &NodeStats::records_folded},
     {"live_records", &NodeStats::live_records},
     {"parked_rejects", &NodeStats::parked_rejects},

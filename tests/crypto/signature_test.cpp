@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace amm::crypto {
 namespace {
 
@@ -91,6 +94,23 @@ TEST(DigestBuilder, LengthSensitive) {
   const u64 a = DigestBuilder{}.add(1).finish();
   const u64 b = DigestBuilder{}.add(1).add(0).finish();
   EXPECT_NE(a, b);
+}
+
+TEST(DigestBuilder, EqualsSipHashOverTheSameWords) {
+  // The builder streams words into the SipHash state instead of buffering
+  // them. Signatures and on-disk snapshots are computed over its digests,
+  // so every prefix must hash bit-identically to siphash24 over its words.
+  Rng rng(16);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<u64> words;
+    DigestBuilder builder;
+    for (usize len = 0; len <= 64; ++len) {
+      ASSERT_EQ(builder.finish(), siphash24(DigestBuilder::kKey, std::span<const u64>(words)))
+          << "trial " << trial << ", " << len << " words";
+      words.push_back(trial % 2 == 0 ? rng.next() : rng.uniform_below(4));
+      builder.add(words.back());
+    }
+  }
 }
 
 }  // namespace

@@ -342,27 +342,5 @@ TEST(AbdCheckpoint, ParkedCapRefusesOutOfOrderFlood) {
   EXPECT_EQ(node.live_records(), 3u);
 }
 
-TEST(AbdCheckpoint, VerifyCacheRotationBoundsAndCounters) {
-  crypto::KeyRegistry keys(2, 31);
-  InjectTransport net(2);
-  const AbdConfig tiny_cache{.verify_cache_cap = 8};
-  AbdNode node(NodeId{0}, net, keys, tiny_cache);
-
-  for (u32 seq = 0; seq < 100; ++seq) {
-    WireMessage append;
-    append.kind = WireMessage::Kind::kAppend;
-    append.append = make_signed(keys, 1, seq, 1);
-    net.deliver(NodeId{1}, NodeId{0}, append);
-    // Redeliver: the duplicate's signature check hits the cache.
-    net.deliver(NodeId{1}, NodeId{0}, append);
-  }
-  EXPECT_EQ(node.live_records(), 100u);
-  EXPECT_GT(node.verify_cache_misses(), 0u);
-  EXPECT_GT(node.verify_cache_hits(), 0u);
-  EXPECT_GT(node.verify_cache_evictions(), 0u);
-  // Two generations of at most capacity/2 + 1 keys each.
-  EXPECT_LE(node.verify_cache_size(), 10u);
-}
-
 }  // namespace
 }  // namespace amm::mp

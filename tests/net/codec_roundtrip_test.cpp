@@ -247,7 +247,7 @@ TEST(CodecRoundTrip, CtlReplyEveryTruncationOffsetRejected) {
     const auto decoded = decode_ctl_reply(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->view.size(), view_size);
-    EXPECT_EQ(decoded->stats.verify_cache_hits, 12u);
+    EXPECT_EQ(decoded->stats.records_folded, 12u);
     // Pin the last NodeStats field: a field appended to the struct but not
     // the field table shows up here as a dropped value.
     EXPECT_EQ(decoded->stats.links_up, mp::kNodeStatsFieldCount);

@@ -414,10 +414,10 @@ TEST(Codec, CtlRoundTrips) {
   }
   // A few spot checks by name, so a scrambled field table cannot pass.
   EXPECT_EQ(rep->stats.reconnects, 5u);
-  EXPECT_EQ(rep->stats.rss_kb, 18u);
-  EXPECT_EQ(rep->stats.log_bytes, 19u);
-  EXPECT_EQ(rep->stats.snapshot_count, 20u);
-  EXPECT_EQ(rep->stats.recovery_replayed_records, 21u);
+  EXPECT_EQ(rep->stats.rss_kb, 15u);
+  EXPECT_EQ(rep->stats.log_bytes, 16u);
+  EXPECT_EQ(rep->stats.snapshot_count, 17u);
+  EXPECT_EQ(rep->stats.recovery_replayed_records, 18u);
   EXPECT_TRUE(rep->ok);
   EXPECT_EQ(rep->status, CtlStatus::kOk);
 

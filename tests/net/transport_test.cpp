@@ -305,8 +305,9 @@ struct Lemma41Harness {
   std::unique_ptr<mp::AbdNode> victim;  // last: detached before the transports die
 };
 
-/// One forgery per signed message kind: it must have no effect on the
-/// victim, and valid traffic around it must still take effect.
+/// One forgery per signed message kind, plus a forged copy of a record the
+/// victim already holds: it must have no effect on the victim, and valid
+/// traffic around it must still take effect.
 const std::pair<const char*, void (*)(Lemma41Harness&)> kForgeries[] = {
     {"kAppend signed by a node other than its author",
      [](Lemma41Harness& h) {
@@ -333,6 +334,22 @@ const std::pair<const char*, void (*)(Lemma41Harness&)> kForgeries[] = {
 
        ack.ack_sig = h.keys.sign(NodeId{1}, ack.append.digest());
        h.deliver(ack, [&] { return appended; });
+     }},
+    {"kAppend repeating a held (author, seq) with another value",
+     [](Lemma41Harness& h) {
+       mp::WireMessage append;
+       append.kind = mp::WireMessage::Kind::kAppend;
+       append.append = h.record(NodeId{1}, 1, NodeId{1});
+       h.deliver(append, [&] { return h.holds(1); });
+
+       // The genuine record's signature over another value in the same
+       // (author, seq) slot. The slot is already held, so only a check that
+       // runs before deduplication can refuse and count it.
+       append.append.value = -1;
+       h.deliver_forgery(append);
+       EXPECT_FALSE(h.holds(-1));
+       EXPECT_TRUE(h.holds(1));
+       EXPECT_EQ(h.victim->local_view().size(), 1u);
      }},
     {"kReadReply with one forged record among valid ones",
      [](Lemma41Harness& h) {

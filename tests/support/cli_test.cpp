@@ -51,5 +51,23 @@ TEST(CliArgs, NegativeNumberAsValue) {
   EXPECT_EQ(args.get_int("offset", 0), -3);
 }
 
+TEST(CliArgs, ExponentAsDoubleValue) {
+  const auto args = make({"--lambda", "-1.5e2"});
+  EXPECT_DOUBLE_EQ(args.get_double("lambda", 0.0), -150.0);
+}
+
+TEST(CliArgsDeathTest, MalformedOrMissingNumberExitsTwo) {
+  using testing::ExitedWithCode;
+  for (const char* bad : {"3x", "abc", " 3", "+3", "1e3", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT((void)make({"--trials", bad}).get_int("trials", 1), ExitedWithCode(2),
+                "--trials '.*': expected an integer");
+  }
+  EXPECT_EXIT((void)make({"--trials"}).get_int("trials", 1), ExitedWithCode(2), "--trials ''");
+  EXPECT_EXIT((void)make({"--trials="}).get_int("trials", 1), ExitedWithCode(2), "--trials ''");
+  EXPECT_EXIT((void)make({"--lambda=0.5x"}).get_double("lambda", 0.5), ExitedWithCode(2),
+              "--lambda '0.5x': expected a number");
+}
+
 }  // namespace
 }  // namespace amm

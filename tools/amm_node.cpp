@@ -6,7 +6,6 @@
 //            [--backend auto|poll|epoll]
 //            [--high-watermark BYTES] [--low-watermark BYTES]
 //            [--compact off|retain|summary] [--compact-lag L]
-//            [--verify-cache-cap KEYS]
 //            [--store-dir D] [--fsync never|interval|always]
 //            [--fsync-interval A] [--snapshot-interval A] [--segment-bytes B]
 //
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
     // for --help, so help and behavior cannot drift apart.
     const mp::AbdConfig abd_defaults;
     cli.compact_lag = abd_defaults.compact.lag;
-    cli.verify_cache_cap = abd_defaults.verify_cache_cap;
     cli.snapshot_interval = abd_defaults.snapshot_interval;
     const net::TransportConfig transport_defaults;
     cli.high_watermark = transport_defaults.outbound_high_watermark;
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
   abd_config.compact.enabled = compact_mode != "off";
   abd_config.compact.retain_records = compact_mode != "summary";
   abd_config.compact.lag = cli.compact_lag;
-  abd_config.verify_cache_cap = static_cast<usize>(cli.verify_cache_cap);
   abd_config.snapshot_interval = cli.snapshot_interval;
 
   std::unique_ptr<storage::FileLog> store;
@@ -194,9 +191,6 @@ int main(int argc, char** argv) {
     stats.reads_served_delta = node.stats().reads_served_delta;
     stats.read_records_sent = node.stats().read_records_sent;
     stats.read_fallbacks = node.stats().read_fallbacks;
-    stats.verify_cache_hits = node.verify_cache_hits();
-    stats.verify_cache_misses = node.verify_cache_misses();
-    stats.verify_cache_evictions = node.verify_cache_evictions();
     // The checkpoint's count, not the local fold-activity counter: a
     // restarted node that *adopted* its checkpoint folded nothing locally
     // but still summarizes folded_records records.

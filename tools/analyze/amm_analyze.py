@@ -11,14 +11,11 @@ rule in docs/ANALYSIS.md §5:
   loopblock     loop-blocking
   growth        unbounded-growth
 
-Engines: the *internal* engine (a pure-Python C++ tokenizer + structural
-extractors, cpp_model.py) always works and is what CI gates on; when
-python3-clang + libclang are installed, `--engine libclang` (or `auto`)
-swaps in type-resolved facts from the real clang AST (clang_front.py).
+The front end (cpp_model.py) is a pure-Python C++ tokenizer + structural
+extractors with no dependency beyond the standard library.
 
 Usage:
-  amm_analyze.py [--root DIR] [--compile-commands FILE] [--engine auto|internal|libclang]
-                 [--checks a,b] [--github] [--cache-dir DIR]
+  amm_analyze.py [--root DIR] [--checks a,b] [--github] [--cache-dir DIR]
   amm_analyze.py --self-test     # run the seeded-violation corpus
   amm_analyze.py --list-rules
 
@@ -84,23 +81,7 @@ def run_checks(model: AnalysisModel, only: Optional[Set[str]]) -> List[Finding]:
     return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule, f.message))
 
 
-def build_model(files, engine: str, root: str, cc_path: Optional[str]):
-    """Returns (model, engine_used)."""
-    facts = None
-    used = "internal"
-    if engine in ("auto", "libclang"):
-        import clang_front
-        if clang_front.available():
-            facts = clang_front.extract(root, files, cc_path)
-            if facts is not None:
-                used = "libclang"
-        elif engine == "libclang":
-            raise SystemExit("amm_analyze: --engine libclang requested but clang.cindex "
-                             "is unavailable (install python3-clang + libclang)")
-    return AnalysisModel(files, facts), used
-
-
-def self_test(engine: str) -> int:
+def self_test() -> int:
     corpus = os.path.join(HERE, "selftest")
     failures: List[str] = []
     for name in sorted(SELF_TEST_EXPECT):
@@ -110,10 +91,7 @@ def self_test(engine: str) -> int:
             continue
         with open(path, encoding="utf-8") as fh:
             sf = cpp_model.SourceFile(path, fh.read(), display=name)
-        # Each corpus file is a self-contained model: the internal engine is
-        # the one under test (libclang facts would not change pass/fail).
-        model, _ = build_model([sf], engine if engine == "libclang" else "internal",
-                               corpus, None)
+        model = AnalysisModel([sf])  # each corpus file is a self-contained model
         fired = {f.rule for f in run_checks(model, None)}
         expected = SELF_TEST_EXPECT[name]
         if fired != expected:
@@ -134,10 +112,9 @@ def self_test(engine: str) -> int:
     return 0
 
 
-def _cache_key(files, engine: str) -> str:
+def _cache_key(files) -> str:
     h = hashlib.sha256()
     h.update(CACHE_VERSION.encode())
-    h.update(engine.encode())
     for mod_dir in (HERE, os.path.join(HERE, "checks")):
         for fn in sorted(os.listdir(mod_dir)):
             if fn.endswith(".py"):
@@ -149,14 +126,13 @@ def _cache_key(files, engine: str) -> str:
     return h.hexdigest()
 
 
-def analyze(root: str, engine: str, cc_path: Optional[str], only: Optional[Set[str]],
-            cache_dir: Optional[str]) -> List[Finding]:
+def analyze(root: str, only: Optional[Set[str]], cache_dir: Optional[str]) -> List[Finding]:
     files = cpp_model.load_tree(root, ANALYZE_DIRS, exclude=EXCLUDE_DIRS)
     if not files:
         raise SystemExit(f"amm_analyze: no sources under {root}/{{{','.join(ANALYZE_DIRS)}}}")
     cache_path = None
     if cache_dir:
-        key = _cache_key(files, engine)
+        key = _cache_key(files)
         if only:
             key = hashlib.sha256((key + ",".join(sorted(only))).encode()).hexdigest()
         os.makedirs(cache_dir, exist_ok=True)
@@ -164,10 +140,7 @@ def analyze(root: str, engine: str, cc_path: Optional[str], only: Optional[Set[s
         if os.path.exists(cache_path):
             with open(cache_path, encoding="utf-8") as fh:
                 return [Finding(**f) for f in json.load(fh)]
-    model, used = build_model(files, engine, root, cc_path)
-    findings = run_checks(model, only)
-    if used != engine and engine == "auto":
-        pass  # informational only; the engine used is deterministic per machine
+    findings = run_checks(AnalysisModel(files), only)
     if cache_path:
         with open(cache_path, "w", encoding="utf-8") as fh:
             json.dump([f._asdict() for f in findings], fh)
@@ -179,18 +152,13 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", default=os.path.normpath(os.path.join(HERE, "..", "..")),
                     help="repository root (default: two levels above this script)")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the libclang engine "
-                         "(default: <root>/build/compile_commands.json if present)")
-    ap.add_argument("--engine", choices=("auto", "internal", "libclang"), default="auto",
-                    help="fact-extraction engine (default auto: libclang when importable)")
     ap.add_argument("--checks", default=None,
                     help="comma-separated module subset (codec_bounds,exhaustive,"
                          "determinism,lockorder)")
     ap.add_argument("--github", action="store_true",
                     help="also emit ::error GitHub annotations")
     ap.add_argument("--cache-dir", default=None,
-                    help="directory for the findings cache (keyed by content+engine)")
+                    help="directory for the findings cache (keyed by content)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the seeded-violation corpus and exit")
     ap.add_argument("--list-rules", action="store_true")
@@ -202,7 +170,7 @@ def main() -> int:
                 print(f"{rule:20s} [{mod.NAME}] {desc}")
         return 0
     if args.self_test:
-        return self_test(args.engine)
+        return self_test()
 
     known = {mod.NAME for mod in CHECKS}
     only: Optional[Set[str]] = None
@@ -214,12 +182,7 @@ def main() -> int:
                   file=sys.stderr)
             return 2
 
-    cc = args.compile_commands
-    if cc is None:
-        candidate = os.path.join(args.root, "build", "compile_commands.json")
-        cc = candidate if os.path.exists(candidate) else None
-
-    findings = analyze(args.root, args.engine, cc, only, args.cache_dir)
+    findings = analyze(args.root, only, args.cache_dir)
     for f in findings:
         print(f.render())
         if args.github:

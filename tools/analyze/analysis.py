@@ -1,9 +1,8 @@
 """Cross-file analysis model and finding type for amm_analyze.
 
 The model aggregates per-file facts (cpp_model.SourceFile) into the global
-registries the checks need: enum definitions, function definitions by name,
-folded integer constants, and — when the libclang engine is active —
-type-resolved facts that override the token-level approximations.
+registries the checks need: enum definitions, function definitions by name
+and folded integer constants.
 """
 
 from __future__ import annotations
@@ -28,32 +27,13 @@ class Finding(NamedTuple):
                 f"title=amm_analyze({self.rule})::{self.message}")
 
 
-class ClangSwitch(NamedTuple):
-    """A switch over an enum as seen by libclang: exact type resolution."""
-    enum_path: Tuple[str, ...]
-    handled: Tuple[str, ...]
-    has_default: bool
-    line: int
-
-
-class ClangFacts(NamedTuple):
-    enums: Tuple[EnumDef, ...]
-    switches: Dict[str, Tuple[ClangSwitch, ...]]  # per display path
-    unordered_names: Set[str]
-    function_typed_names: Set[str]
-
-
 class AnalysisModel:
-    def __init__(self, files: Sequence[SourceFile], clang_facts: Optional[ClangFacts] = None):
+    def __init__(self, files: Sequence[SourceFile]):
         self.files = list(files)
-        self.clang = clang_facts
         self.consts = cpp_model.collect_constants(self.files)
         self.enums: Dict[Tuple[str, ...], EnumDef] = {}
         for sf in self.files:
             for e in sf.enums:
-                self.enums[e.path] = e
-        if clang_facts:
-            for e in clang_facts.enums:
                 self.enums[e.path] = e
         self.functions: Dict[str, List[Tuple[SourceFile, Function]]] = {}
         for sf in self.files:

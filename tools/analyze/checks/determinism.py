@@ -74,8 +74,6 @@ def _unordered_names(model: AnalysisModel) -> Set[str]:
     for sf in model.files:
         for d in sf.var_decls(type_res):
             names.add(d.name)
-    if model.clang:
-        names |= model.clang.unordered_names
     return names
 
 

@@ -29,15 +29,6 @@ RULES = {
 def run(model: AnalysisModel) -> List[Finding]:
     findings: List[Finding] = []
     for sf in model.files:
-        clang_switches = model.clang.switches.get(sf.display) if model.clang else None
-        if clang_switches is not None:
-            for cs in clang_switches:
-                enum = model.enums.get(cs.enum_path)
-                if enum is None:
-                    continue
-                _judge(findings, sf, enum.enumerators, set(cs.handled), cs.has_default,
-                       cs.line, cs.line, "::".join(enum.path))
-            continue
         for sw in sf.switches:
             if not sw.cases:
                 continue

@@ -114,8 +114,6 @@ def _function_typed_names(model: AnalysisModel) -> Set[str]:
     for sf in model.files:
         for d in sf.var_decls(type_res):
             names.add(d.name)
-    if model.clang:
-        names |= model.clang.function_typed_names
     return names
 
 

@@ -1,14 +1,11 @@
 """Lightweight C++ source model shared by every amm_analyze check.
 
-This is the *internal* front end: a tokenizer plus a handful of structural
-extractors (enums, switches, function bodies, loops, declarations, constant
-folding) that turn a translation unit into facts the checks consume. It is
-deliberately not a full C++ parser — it understands exactly the shapes this
-repository uses (see docs/ANALYSIS.md §5) and is the engine that runs on
-machines without libclang. When `clang.cindex` is importable, clang_front.py
-replaces the *fact extraction* for enums/switches/type-driven declarations
-with real AST queries; the byte-accounting and lock-region analyses are
-syntactic in both engines.
+This is the analyzer's only front end: a tokenizer plus a handful of
+structural extractors (enums, switches, function bodies, loops,
+declarations, constant folding) that turn a translation unit into facts the
+checks consume. It is deliberately not a full C++ parser — it understands
+exactly the shapes this repository uses (see docs/ANALYSIS.md §5) and needs
+nothing beyond the Python standard library.
 
 Guarantees the checks rely on:
   * comments and string/char literals never produce tokens (so prose cannot

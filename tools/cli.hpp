@@ -263,8 +263,8 @@ class OptionSet {
 
 /// Everything a node-shaped process needs, one field per flag. Callers
 /// overwrite the zero-ish defaults that actually come from deeper configs
-/// (watermarks, verify-cache capacity) before add_node_options captures
-/// them for --help.
+/// (watermarks, compaction lag, snapshot interval) before add_node_options
+/// captures them for --help.
 struct NodeConfig {
   u32 n = 5;
   u32 id = 0;
@@ -276,7 +276,6 @@ struct NodeConfig {
   u64 low_watermark = 0;   ///< caller seeds from net::TransportConfig
   std::string compact = "off";  // off|retain|summary
   u32 compact_lag = 256;   ///< caller seeds from mp::CompactConfig
-  u64 verify_cache_cap = 0;  ///< caller seeds from mp::AbdConfig
   std::string store_dir;     ///< empty = memory-only node
   std::string fsync = "interval";  // never|interval|always
   u32 fsync_interval = 64;
@@ -301,8 +300,6 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
                 "decided-prefix compaction mode (DESIGN.md §8)");
   opts.add_u32("compact-lag", &cfg->compact_lag,
                "records per author kept live behind the stability cut");
-  opts.add_u64("verify-cache-cap", &cfg->verify_cache_cap,
-               "VerifyCache key capacity (0 = unbounded)");
   opts.add_string("store-dir", &cfg->store_dir,
                   "durable store directory (empty = memory-only, DESIGN.md §10)");
   opts.add_enum("fsync", &cfg->fsync, {"never", "interval", "always"},

@@ -11,9 +11,9 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
 
   --fresh-cluster-per-rung   boot a new cluster for every rung (and every
       trial) so a rung never inherits the previous rung's record history or
-      its idle-population teardown. Append cost creeps up with history
-      (growing digest/verify-cache tables), so a shared cluster tilts the
-      ladder against its later rungs.
+      its idle-population teardown. A shared cluster carries every earlier
+      rung's history (a larger view and resident set) into the later rungs,
+      which tilts the ladder against them.
   --total-appends N          per-writer appends = N // writers, so every
       rung performs the same total work and deposits the same history —
       rungs differ only in fanout, the variable under study.
