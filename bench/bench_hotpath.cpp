@@ -89,9 +89,13 @@ int reps_for(u32 history) { return history <= 2000 ? 5 : history <= 20000 ? 3 : 
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "Hot paths — incremental graph, ordering, decision rules", 1);
-  const u32 max_history = static_cast<u32>(h.args.get_int("max-history", 100000));
-  const u32 rounds = static_cast<u32>(h.args.get_int("rounds", 64));
+  u32 max_history = 100000;
+  u32 rounds = 64;
+  exp::Harness h(argc, argv, "Hot paths — incremental graph, ordering, decision rules", 1,
+                 [&](OptionSet& opts) {
+                   opts.add_u32("max-history", &max_history, "largest history measured");
+                   opts.add_u32("rounds", &rounds, "observation rounds per history", {1});
+                 });
 
   const std::vector<u32> ns = {8, 32, 128};
   std::vector<u32> histories;

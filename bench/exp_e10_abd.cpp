@@ -39,8 +39,11 @@ struct Cluster {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "E10 — ABD simulation of the append memory (§4)", 1);
-  const u32 big_history = static_cast<u32>(h.args.get_int("appends", 10000));
+  u32 big_history = 10000;
+  exp::Harness h(argc, argv, "E10 — ABD simulation of the append memory (§4)", 1,
+                 [&](OptionSet& opts) {
+                   opts.add_u32("appends", &big_history, "records of history in part 3");
+                 });
 
   const mp::AbdConfig legacy{.delta_reads = false, .max_pipeline = 1};
 

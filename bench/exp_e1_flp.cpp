@@ -15,9 +15,11 @@
 using namespace amm;
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "E1 — asynchronous impossibility (Theorem 2.1)", 1);
-
-  const u32 n = static_cast<u32>(h.args.get_int("n", 3));
+  u32 n = 3;
+  exp::Harness h(argc, argv, "E1 — asynchronous impossibility (Theorem 2.1)", 1,
+                 [&](OptionSet& opts) {
+                   opts.add_u32("n", &n, "processes (the explorer's 2..8)", {2, 8});
+                 });
 
   std::vector<std::unique_ptr<check::AsyncProtocol>> protocols;
   protocols.push_back(check::make_decide_own_input());

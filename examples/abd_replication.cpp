@@ -16,10 +16,18 @@
 using namespace amm;
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "example: ABD simulation of the append memory", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 7));
-  const u32 crashed = static_cast<u32>(h.args.get_int("crashed", 2));
-  const u32 ops = static_cast<u32>(h.args.get_int("ops", 20));
+  u32 n = 7;
+  u32 crashed = 2;
+  u32 ops = 20;
+  exp::Harness h(argc, argv, "example: ABD simulation of the append memory", 1,
+                 [&](OptionSet& opts) {
+                   opts.add_u32("n", &n, "nodes, one of them the forger");
+                   opts.add_u32("crashed", &crashed, "crashed nodes, at most n - 2");
+                   opts.add_u32("ops", &ops, "operations issued by correct nodes");
+                   // At least one correct node besides the forger.
+                   opts.require([&] { return n >= 2 && crashed <= n - 2; },
+                                "need --crashed <= --n - 2");
+                 });
   if (crashed + 1 >= (n + 1) / 2 && crashed >= n / 2) {
     std::cout << "warning: crashed >= n/2 — operations will block (that's the point!)\n";
   }

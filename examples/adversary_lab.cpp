@@ -66,9 +66,13 @@ void race(const char* name, proto::SyncAdversary& adversary, u32 n, u32 t, Table
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "example: adversary lab", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 7));
-  const u32 t = static_cast<u32>(h.args.get_int("t", 3));
+  u32 n = 7;
+  u32 t = 3;
+  exp::Harness h(argc, argv, "example: adversary lab", 1, [&](OptionSet& opts) {
+    opts.add_u32("n", &n, "nodes");
+    opts.add_u32("t", &t, "Byzantine nodes, t < n");
+    opts.require([&] { return t < n; }, "need --t < --n");
+  });
 
   Table table({"adversary", "rounds run", "rounds needed (t+1)", "outcome"});
   adv::LastRoundSplitSync staircase(Vote::kMinus, (n - t) / 2);

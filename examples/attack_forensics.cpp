@@ -5,6 +5,7 @@
 //
 //   ./examples/attack_forensics [--n 12] [--t 3] [--lambda 0.5] [--k 21]
 //   dot -Tsvg attack.dot -o attack.svg     # render the fork structure
+#include <cmath>
 #include <fstream>
 #include <iostream>
 
@@ -18,11 +19,19 @@
 using namespace amm;
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "example: attack forensics", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 12));
-  const u32 t = static_cast<u32>(h.args.get_int("t", 3));
-  const u32 k = static_cast<u32>(h.args.get_int("k", 21));
-  const double lambda = h.args.get_double("lambda", 0.5);
+  u32 n = 12;
+  u32 t = 3;
+  u32 k = 21;
+  double lambda = 0.5;
+  exp::Harness h(argc, argv, "example: attack forensics", 1, [&](OptionSet& opts) {
+    opts.add_u32("n", &n, "nodes");
+    opts.add_u32("t", &t, "Byzantine nodes, t < n");
+    opts.add_u32("k", &k, "decided chain depth, odd");
+    opts.add_double("lambda", &lambda, "access rate per node per Delta, > 0");
+    opts.require([&] { return t < n; }, "need --t < --n");
+    opts.require([&] { return k % 2 == 1; }, "need an odd --k");
+    opts.require([&] { return lambda > 0.0 && std::isfinite(lambda); }, "need --lambda > 0");
+  });
 
   // Re-run the attack, but this time keep the memory: the slotted runner
   // is a black box, so we reconstruct an equivalent small history through

@@ -5,6 +5,7 @@
 //
 // Expected shape (Theorems 5.4 / 5.6): the chain fails once λ·t crosses 1;
 // the DAG holds until t/n approaches 1/2, for any λ.
+#include <cmath>
 #include <iostream>
 
 #include "exp/harness.hpp"
@@ -15,10 +16,16 @@
 using namespace amm;
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "example: chain vs DAG", 40);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 20));
-  const u32 k = static_cast<u32>(h.args.get_int("k", 61));
-  const double lambda = h.args.get_double("lambda", 0.5);
+  u32 n = 20;
+  u32 k = 61;
+  double lambda = 0.5;
+  exp::Harness h(argc, argv, "example: chain vs DAG", 40, [&](OptionSet& opts) {
+    opts.add_u32("n", &n, "nodes");
+    opts.add_u32("k", &k, "decided values, odd");
+    opts.add_double("lambda", &lambda, "access rate per node per Delta, > 0");
+    opts.require([&] { return k % 2 == 1; }, "need an odd --k");
+    opts.require([&] { return lambda > 0.0 && std::isfinite(lambda); }, "need --lambda > 0");
+  });
 
   Table table({"t", "t/n", "lambda*t", "chain validity", "DAG validity"});
   for (u32 t = 1; t < n / 2; t += std::max(1u, n / 10)) {

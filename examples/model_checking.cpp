@@ -53,8 +53,11 @@ class OptimisticThenFollow final : public check::AsyncProtocol {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::Harness h(argc, argv, "example: model checking your own protocol", 1);
-  const u32 n = static_cast<u32>(h.args.get_int("n", 3));
+  u32 n = 3;
+  exp::Harness h(argc, argv, "example: model checking your own protocol", 1,
+                 [&](OptionSet& opts) {
+                   opts.add_u32("n", &n, "processes (the explorer's 2..8)", {2, 8});
+                 });
 
   std::cout << "-- Part 1: asynchronous impossibility (Theorem 2.1) --\n";
   OptimisticThenFollow custom(n);

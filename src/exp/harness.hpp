@@ -1,25 +1,29 @@
-// Shared experiment-binary plumbing: canonical CLI flags, banner printing
-// and table emission, so every exp_* target behaves identically.
+// Shared experiment-binary plumbing: the common flags, banner printing and
+// table emission, so every exp_* target behaves identically.
 //
 // Common flags:
-//   --trials N    Monte-Carlo trials per configuration (default per-exp)
+//   --trials N    Monte-Carlo trials per configuration (default per-exp), N >= 1
 //   --seed S      master seed (default 20200715 — the SPAA'20 date)
 //   --threads T   worker threads (default 0: hardware), at most kMaxThreads
 //   --csv         emit CSV instead of the ASCII table
 //   --json FILE   additionally write every emitted table to FILE as JSON
 //                 (machine-readable summary; aggregated by collect_bench.py)
 //
-// A malformed or out-of-range value (--trials 0, --seed abc, --threads -1)
-// prints the flag and the value and exits 2 before the worker pool exists.
+// A binary declares its own flags through the constructor's `declare`
+// argument, so one OptionSet parses argv once, before the worker pool is
+// built: --help lists every flag with its default and exits 0, and an
+// unknown flag, a stray argument, a malformed or out-of-range value or a
+// failed cross-flag check prints "<prog>: <reason>" and exits 2.
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "support/cli.hpp"
+#include "support/options.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -27,34 +31,37 @@ namespace amm::exp {
 
 /// Upper bound on --threads: above any core count the experiments run on,
 /// and low enough that a typo never asks the OS for thousands of threads.
-inline constexpr i64 kMaxThreads = 256;
+inline constexpr u32 kMaxThreads = 256;
 
-/// --trials: at least 1 (default `fallback`); exits 2 otherwise.
-inline usize trials_arg(const CliArgs& args, usize fallback) {
-  const i64 trials = args.get_int("trials", static_cast<i64>(fallback));
-  if (trials < 1) args.reject("trials", "need at least 1 trial");
-  return static_cast<usize>(trials);
+/// The common flags, one field per flag. The values in place when
+/// add_common_options runs are the defaults --help shows.
+struct CommonFlags {
+  usize trials = 1;
+  u64 seed = 20200715;
+  u32 threads = 0;
+  bool csv = false;
+  std::string json_path;
+};
+
+inline void add_common_options(OptionSet& opts, CommonFlags* flags) {
+  opts.add_u64("trials", &flags->trials, "Monte-Carlo trials per configuration", {1});
+  opts.add_u64("seed", &flags->seed, "master seed");
+  opts.add_u32("threads", &flags->threads, "worker threads, 0 = hardware", {0, kMaxThreads});
+  opts.add_flag("csv", &flags->csv, "emit CSV instead of the ASCII table");
+  opts.add_string("json", &flags->json_path,
+                  "additionally write every emitted table to this JSON file");
 }
 
-/// --threads: 0 (hardware concurrency) to kMaxThreads; exits 2 otherwise.
-inline unsigned threads_arg(const CliArgs& args) {
-  const i64 threads = args.get_int("threads", 0);
-  if (threads < 0 || threads > kMaxThreads) {
-    args.reject("threads", "need 0 (hardware) to " + std::to_string(kMaxThreads));
-  }
-  return static_cast<unsigned>(threads);
-}
+/// The common flags, parsed before the pool is built (a base class
+/// initializes before the members), plus the pool and table emission.
+struct Harness : CommonFlags {
+  /// Declares a binary's own flags on the OptionSet that parses argv.
+  using Declare = std::function<void(OptionSet&)>;
 
-struct Harness {
-  // Members initialize in declaration order, so every flag is checked
-  // before the pool is built.
-  Harness(int argc, const char* const* argv, const std::string& title, usize default_trials)
-      : args(argc, argv),
-        trials(trials_arg(args, default_trials)),
-        seed(static_cast<u64>(args.get_int("seed", 20200715))),
-        pool(threads_arg(args)),
-        csv(args.has_flag("csv")),
-        json_path(args.get_string("json", "")),
+  Harness(int argc, const char* const* argv, const std::string& title, usize default_trials,
+          const Declare& declare = {})
+      : CommonFlags(parse(argc, argv, title, default_trials, declare)),
+        pool(threads),
         title_(title) {
     if (!csv) {
       std::cout << "== " << title << " ==\n"
@@ -79,14 +86,23 @@ struct Harness {
     if (!json_path.empty()) collected_.emplace_back(caption, table);
   }
 
-  CliArgs args;
-  usize trials;
-  u64 seed;
   ThreadPool pool;
-  bool csv;
-  std::string json_path;
 
  private:
+  /// Parses argv once, with the binary's own flags; --help and a rejected
+  /// argv exit inside parse_or_exit.
+  static CommonFlags parse(int argc, const char* const* argv, const std::string& title,
+                           usize default_trials, const Declare& declare) {
+    CommonFlags flags;
+    flags.trials = default_trials;
+    const std::string path = argc > 0 ? argv[0] : "exp";
+    OptionSet opts(path.substr(path.find_last_of('/') + 1), title);
+    add_common_options(opts, &flags);
+    if (declare) declare(opts);
+    opts.parse_or_exit(argc, argv);
+    return flags;
+  }
+
   /// One JSON document per run: run parameters plus every emitted table,
   /// in emission order. Written at destruction so a binary that emits
   /// several tables still produces a single well-formed file.

@@ -87,7 +87,7 @@ struct AbdConfig {
   /// Max appends in flight; further begin_append calls queue in order.
   u32 max_pipeline = 32;
   /// Decided-prefix compaction (off by default: memory is unbounded).
-  CompactConfig compact;
+  CompactConfig compact{};
   /// Durable storage seam (mp/storage.hpp); nullptr = memory-only node
   /// (the pre-durability behavior, default for sim and tests). Not owned;
   /// must outlive the node.

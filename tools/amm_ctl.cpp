@@ -19,13 +19,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "net/codec.hpp"
-#include "tools/cli.hpp"
+#include "support/options.hpp"
 
 namespace {
 
@@ -110,27 +109,18 @@ int main(int argc, char** argv) {
   u16 port = 9500;
   std::string op = "stats";
   i64 value = 1;
-  i64 count = 1;
-  i64 window = 1;
+  u64 count = 1;
+  u64 window = 1;
   u32 k = 1;
-  tools::OptionSet opts("amm_ctl", "submit one operation to a running amm_node");
+  OptionSet opts("amm_ctl", "submit one operation to a running amm_node");
   opts.add_string("host", &host, "node host");
   opts.add_u16("port", &port, "node control port");
   opts.add_enum("op", &op, {"append", "read", "decide", "stats", "kick"}, "operation");
   opts.add_i64("value", &value, "append: first value");
-  opts.add_i64("count", &count, "append: number of appends (values value..value+count-1)");
-  opts.add_i64("window", &window, "append: appends kept in flight on the connection");
+  opts.add_u64("count", &count, "append: number of appends (values value..value+count-1)");
+  opts.add_u64("window", &window, "append: appends kept in flight on the connection", {1});
   opts.add_u32("k", &k, "decide: the k-cut size");
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_ctl: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  opts.parse_or_exit(argc, argv);
 
   const int fd = dial(host, port);
   if (fd < 0) {
@@ -145,13 +135,13 @@ int main(int argc, char** argv) {
   if (op == "append") {
     // --window W keeps up to W appends in flight on the one connection;
     // the node's AbdNode pipelines them (W=1 is the old strict lock-step).
-    window = std::max<i64>(1, window);
-    i64 sent = 0;
-    i64 completed = 0;
+    u64 sent = 0;
+    u64 completed = 0;
     bool failed = false;
     while (completed < count && !failed) {
       while (sent < count && sent - completed < window) {
-        if (!send_request(fd, net::CtlRequest{net::CtlOp::kAppend, value + sent, 0})) {
+        const i64 next_value = value + static_cast<i64>(sent);
+        if (!send_request(fd, net::CtlRequest{net::CtlOp::kAppend, next_value, 0})) {
           failed = true;
           break;
         }
@@ -164,11 +154,12 @@ int main(int argc, char** argv) {
       ++completed;
     }
     if (failed) {
-      std::fprintf(stderr, "amm_ctl: append %lld/%lld failed\n",
-                   static_cast<long long>(completed + 1), static_cast<long long>(count));
+      std::fprintf(stderr, "amm_ctl: append %llu/%llu failed\n",
+                   static_cast<unsigned long long>(completed + 1),
+                   static_cast<unsigned long long>(count));
       status = 1;
     }
-    std::printf("appended count=%lld first=%lld\n", static_cast<long long>(completed),
+    std::printf("appended count=%llu first=%lld\n", static_cast<unsigned long long>(completed),
                 static_cast<long long>(value));
   } else if (op == "read") {
     if (roundtrip(fd, rx, net::CtlRequest{net::CtlOp::kRead, 0, 0}, &reply) && reply.ok) {

@@ -28,7 +28,7 @@
 
 #include "storage/file_log.hpp"
 #include "storage/log_format.hpp"
-#include "tools/cli.hpp"
+#include "support/options.hpp"
 
 namespace {
 
@@ -220,21 +220,12 @@ int main(int argc, char** argv) {
   std::string dir;
   u32 n = 0;
   u64 seed = 20200715;
-  tools::OptionSet opts("amm_logtool", "inspect and repair a node's durable store");
+  OptionSet opts("amm_logtool", "inspect and repair a node's durable store");
   opts.add_positional("command", &command, {"dump", "verify", "truncate"}, "what to do");
   opts.add_string("dir", &dir, "the store directory (amm_node --store-dir)");
   opts.add_u32("n", &n, "cluster size, for signature checks (0 = skip signatures)");
   opts.add_u64("seed", &seed, "cluster KeyRegistry seed, with --n");
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_logtool: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  opts.parse_or_exit(argc, argv);
   if (dir.empty()) {
     std::fprintf(stderr, "amm_logtool: --dir is required\n");
     return 2;

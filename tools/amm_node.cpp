@@ -91,18 +91,9 @@ int main(int argc, char** argv) {
     cli.high_watermark = transport_defaults.outbound_high_watermark;
     cli.low_watermark = transport_defaults.outbound_low_watermark;
   }
-  tools::OptionSet opts("amm_node", "one append-memory node (ABD quorum protocol over TCP)");
+  OptionSet opts("amm_node", "one append-memory node (ABD quorum protocol over TCP)");
   tools::add_node_options(opts, &cli);
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_node: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
+  opts.parse_or_exit(argc, argv);
   const u32 n = cli.n;
   const u32 id = cli.id;
   const u64 seed = cli.seed;

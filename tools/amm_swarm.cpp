@@ -35,6 +35,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cerrno>
 #include <csignal>
@@ -50,7 +51,6 @@
 #include "net/codec.hpp"
 #include "net/event_loop.hpp"
 #include "support/table.hpp"
-#include "tools/cli.hpp"
 
 namespace {
 
@@ -104,34 +104,33 @@ void set_linger_reset(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lin, sizeof(lin));
 }
 
-std::vector<u16> parse_ports(const std::string& list, u16 base_port, u32 n) {
-  std::vector<u16> ports;
-  if (!list.empty()) {
-    usize pos = 0;
-    while (pos < list.size()) {
-      const usize comma = list.find(',', pos);
-      const std::string tok = list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (!tok.empty()) ports.push_back(static_cast<u16>(std::stoul(tok)));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  } else {
-    for (u32 i = 0; i < n; ++i) ports.push_back(static_cast<u16>(base_port + i));
+/// The comma-separated numbers in `list`, each a whole base-10 token no
+/// larger than `max` (OptionSet's number rule); nullopt on any other token,
+/// an empty one included.
+std::optional<std::vector<u64>> parse_list(const std::string& list, u64 max) {
+  std::vector<u64> values;
+  for (usize pos = 0; pos <= list.size();) {
+    const usize end = std::min(list.find(',', pos), list.size());
+    u64 v = 0;
+    const auto [ptr, ec] = std::from_chars(list.data() + pos, list.data() + end, v);
+    if (ec != std::errc{} || ptr != list.data() + end || v > max) return std::nullopt;
+    values.push_back(v);
+    pos = end + 1;
   }
-  return ports;
+  return values;
 }
 
-std::vector<usize> parse_scale(const std::string& list) {
-  std::vector<usize> scale;
-  usize pos = 0;
-  while (pos < list.size()) {
-    const usize comma = list.find(',', pos);
-    const std::string tok = list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) scale.push_back(static_cast<usize>(std::stoul(tok)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+/// The node ports: --ports when given, else base-port + i for i < n;
+/// nullopt when that is malformed or empty.
+std::optional<std::vector<u16>> parse_ports(const std::string& list, u16 base_port, u32 n) {
+  std::vector<u16> ports;
+  if (list.empty()) {
+    for (u32 i = 0; i < n; ++i) ports.push_back(static_cast<u16>(base_port + i));
+  } else if (const auto given = parse_list(list, 0xffff)) {
+    for (const u64 p : *given) ports.push_back(static_cast<u16>(p));
   }
-  return scale;
+  if (ports.empty()) return std::nullopt;
+  return ports;
 }
 
 /// Queues the next window of append requests on `conn`.
@@ -455,10 +454,9 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
-  // Options are declared (and validated, with --help and unknown-flag
-  // rejection) through tools::OptionSet; exp::Harness then re-reads its own
-  // common flags (--seed/--trials/--threads/--csv/--json) from the same
-  // argv, so both parsers see one consistent vocabulary.
+  // The swarm's own flags join the harness's common ones
+  // (--seed/--trials/--threads/--csv/--json) on the one OptionSet that
+  // parses argv.
   u32 n = 3;
   std::string host = "127.0.0.1";
   u16 base_port = 9500;
@@ -469,47 +467,29 @@ int main(int argc, char** argv) {
   u64 idle_count = 0;
   std::string label = "default";
   std::string client_loop = "auto";
-  u64 trials = 1;
-  u64 seed = 20200715;
-  u32 threads = 0;
-  bool csv = false;
-  std::string json_path;
-  tools::OptionSet opts("amm_swarm", "client-swarm append throughput against amm_node");
-  opts.add_u32("n", &n, "number of cluster nodes to spread connections over");
-  opts.add_string("host", &host, "cluster host");
-  opts.add_u16("base-port", &base_port, "node i listens on base-port+i");
-  opts.add_string("ports", &ports_list, "explicit comma-separated node ports (overrides base-port)");
-  opts.add_string("scale", &scale_list, "comma-separated rungs of concurrent writers");
-  opts.add_u32("appends", &appends, "appends per connection");
-  opts.add_u32("window", &window, "appends in flight per connection");
-  opts.add_u64("idle", &idle_count, "standing never-written connections held for the run");
-  opts.add_string("label", &label, "label echoed into result rows");
-  opts.add_enum("client-loop", &client_loop, {"auto", "poll", "epoll"}, "swarm-side event loop");
-  opts.add_u64("trials", &trials, "accepted for harness compatibility");
-  opts.add_u64("seed", &seed, "harness seed echoed into --json output");
-  opts.add_u32("threads", &threads, "harness worker threads (0 = hardware)");
-  opts.add_flag("csv", &csv, "emit CSV instead of the ASCII table");
-  opts.add_string("json", &json_path, "additionally write emitted tables to this JSON file");
-  switch (opts.parse(argc, argv)) {
-    case tools::ParseStatus::kHelp:
-      opts.print_help(stdout);
-      return 0;
-    case tools::ParseStatus::kError:
-      std::fprintf(stderr, "amm_swarm: %s\n", opts.error().c_str());
-      return 2;
-    case tools::ParseStatus::kOk:
-      break;
-  }
-
-  exp::Harness harness(argc, argv, "amm_swarm: client-swarm append throughput", 1);
-  const std::vector<u16> ports = parse_ports(ports_list, base_port, n);
-  const std::vector<usize> scale = parse_scale(scale_list);
+  exp::Harness harness(
+      argc, argv, "amm_swarm: client-swarm append throughput", 1, [&](OptionSet& opts) {
+        opts.add_u32("n", &n, "number of cluster nodes to spread connections over");
+        opts.add_string("host", &host, "cluster host");
+        opts.add_u16("base-port", &base_port, "node i listens on base-port+i");
+        opts.add_string("ports", &ports_list,
+                        "explicit comma-separated node ports (overrides base-port)");
+        opts.add_string("scale", &scale_list, "comma-separated rungs of concurrent writers");
+        opts.add_u32("appends", &appends, "appends per connection", {1});
+        opts.add_u32("window", &window, "appends in flight per connection", {1});
+        opts.add_u64("idle", &idle_count, "standing never-written connections held for the run");
+        opts.add_string("label", &label, "label echoed into result rows");
+        opts.add_enum("client-loop", &client_loop, {"auto", "poll", "epoll"},
+                      "swarm-side event loop");
+        opts.require([&] { return parse_ports(ports_list, base_port, n).has_value(); },
+                     "need --n >= 1 or a --ports list of port numbers");
+        opts.require([&] { return parse_list(scale_list, ~u64{0}).has_value(); },
+                     "need a --scale list of writer counts");
+      });
+  const std::vector<u16> ports = *parse_ports(ports_list, base_port, n);
+  const std::vector<usize> scale = *parse_list(scale_list, ~u64{0});
   const usize idle = static_cast<usize>(idle_count);
   const net::LoopBackend client_backend = net::parse_loop_backend(client_loop);
-  if (ports.empty() || scale.empty() || appends == 0 || window == 0) {
-    std::fprintf(stderr, "amm_swarm: need nonempty --ports/--scale and positive --appends/--window\n");
-    return 2;
-  }
 
   // The idle population stands for the whole run: every rung then measures
   // a server that is already watching `idle` quiescent sessions, and rungs
