@@ -1,11 +1,36 @@
 #include "chain/block_graph.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "am/order.hpp"
 
 namespace amm::chain {
+
+namespace {
+
+/// Grows `v` to hold at least `need` elements without giving up geometric
+/// growth: an exact-fit reserve on every extend() would reallocate the
+/// whole vector on each call.
+template <typename T>
+void reserve_at_least(std::vector<T>& v, usize need) {
+  if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
+}
+
+}  // namespace
+
+void BlockGraph::resolve_refs(usize p, const Message& m) {
+  Node& n = nodes_[p];
+  n.refs_begin = static_cast<u32>(ref_ids_.size());
+  for (const MsgId ref : m.refs) {
+    if (!view_.contains(ref)) continue;
+    const usize target = index_of(ref);
+    ref_ids_.push_back(ref);
+    ref_pos_.push_back(static_cast<u32>(target));
+    nodes_[target].referenced = true;
+  }
+  n.refs_count = static_cast<u32>(ref_ids_.size()) - n.refs_begin;
+  n.parent = n.refs_count == 0 ? kRootId : ref_ids_[n.refs_begin];
+}
 
 void BlockGraph::attach_child(MsgId parent, MsgId child) {
   std::vector<MsgId>& siblings =
@@ -49,10 +74,13 @@ void BlockGraph::extend(const MemoryView& newer) {
 
   // Pass 1: create nodes and dense index entries. Within one register the
   // delta arrives in sequence order, so the per-author index grows by
-  // push_back. Deliberately no reserve(size + delta): an exact-fit reserve
-  // every round defeats geometric growth and turns repeated extension into
-  // an O(total) reallocation per call.
+  // push_back, each array reserved once per extension.
   const usize first_new = nodes_.size();
+  reserve_at_least(nodes_, nodes_.size() + delta.size());
+  reserve_at_least(order_, order_.size() + delta.size());
+  for (u32 r = 0; r < newer.register_count(); ++r) {
+    reserve_at_least(index_[r], newer.register_len(r));
+  }
   for (const MsgId id : delta) {
     AMM_ASSERT(index_[id.author].size() == id.seq);
     index_[id.author].push_back(static_cast<u32>(nodes_.size()));
@@ -79,19 +107,12 @@ void BlockGraph::extend(const MemoryView& newer) {
   // parked in pending_; such a block hangs off the root until the target
   // becomes visible.
   for (usize p = first_new; p < nodes_.size(); ++p) {
-    Node& n = nodes_[p];
-    const Message& m = view_.msg(n.id);
-    n.refs.reserve(m.refs.size());
+    const Message& m = view_.msg(nodes_[p].id);
     for (const MsgId ref : m.refs) {
-      if (view_.contains(ref)) {
-        n.refs.push_back(ref);
-        node_mut(ref).referenced = true;
-      } else {
-        pending_[ref].push_back(static_cast<u32>(p));
-      }
+      if (!view_.contains(ref)) pending_[ref].push_back(static_cast<u32>(p));
     }
-    n.parent = n.refs.empty() ? kRootId : n.refs.front();
-    attach_child(n.parent, n.id);
+    resolve_refs(p, m);
+    attach_child(nodes_[p].parent, nodes_[p].id);
   }
 
   // Pass 3: wake waiters whose awaited target just became visible. The
@@ -103,20 +124,12 @@ void BlockGraph::extend(const MemoryView& newer) {
     const auto it = pending_.find(id);
     if (it == pending_.end()) continue;
     for (const u32 wp : it->second) {
-      Node& w = nodes_[wp];
-      const Message& m = view_.msg(w.id);
-      std::vector<MsgId> visible;
-      visible.reserve(m.refs.size());
-      for (const MsgId ref : m.refs) {
-        if (view_.contains(ref)) visible.push_back(ref);
-      }
-      w.refs = std::move(visible);
-      node_mut(id).referenced = true;
-      const MsgId new_parent = w.refs.empty() ? kRootId : w.refs.front();
-      if (new_parent != w.parent) {
-        detach_child(w.parent, w.id);
-        attach_child(new_parent, w.id);
-        w.parent = new_parent;
+      const MsgId old_parent = nodes_[wp].parent;
+      resolve_refs(wp, view_.msg(nodes_[wp].id));
+      const Node& w = nodes_[wp];
+      if (w.parent != old_parent) {
+        detach_child(old_parent, w.id);
+        attach_child(w.parent, w.id);
         reparented = true;
       }
     }
@@ -214,48 +227,68 @@ void BlockGraph::recompute_frontier() {
 
 void BlockGraph::ensure_weights() const {
   if (weights_valid_) return;
-  // GHOST weights — accumulate bottom-up by descending depth.
+  // GHOST weights — accumulate bottom-up by descending depth. A block is
+  // one deeper than its parent, so each subtree is complete before its
+  // root is added to the root's parent. The weights are integer sums, so
+  // the order within one depth is free: a counting sort by depth does.
   weights_.assign(nodes_.size(), 1);
-  std::vector<u32> by_depth(order_);
-  std::stable_sort(by_depth.begin(), by_depth.end(),
-                   [this](u32 a, u32 b) { return nodes_[a].depth > nodes_[b].depth; });
-  for (const u32 p : by_depth) {
-    const Node& n = nodes_[p];
-    if (n.parent != kRootId) weights_[index_of(n.parent)] += weights_[p];
+  std::vector<u32> depth_start(max_depth_ + 2, 0);
+  for (const Node& n : nodes_) ++depth_start[n.depth + 1];
+  for (usize d = 1; d < depth_start.size(); ++d) depth_start[d] += depth_start[d - 1];
+  std::vector<u32> by_depth(nodes_.size());
+  for (usize p = 0; p < nodes_.size(); ++p) {
+    by_depth[depth_start[nodes_[p].depth]++] = static_cast<u32>(p);
+  }
+  for (auto it = by_depth.rbegin(); it != by_depth.rend(); ++it) {
+    const Node& n = nodes_[*it];
+    if (n.parent != kRootId) weights_[index_of(n.parent)] += weights_[*it];
   }
   weights_valid_ = true;
 }
 
 void BlockGraph::ensure_topo() const {
   if (topo_valid_) return;
-  // Deterministic topological order over all visible ref edges (Kahn; ready
-  // set processed in append order via a FIFO seeded in canonical order).
-  topo_.clear();
-  topo_.reserve(nodes_.size());
-  std::vector<u32> in_degree(nodes_.size(), 0);
-  for (usize p = 0; p < nodes_.size(); ++p) {
-    in_degree[p] = static_cast<u32>(nodes_[p].refs.size());
+  // Deterministic topological order over all visible ref edges: Kahn, with
+  // the ready set served first in, first out, seeded in canonical order and
+  // fanned out along each block's referrers in canonical order. Every block
+  // enters the ready queue exactly once, so the queue is a flat vector
+  // consumed from a moving head, and its final contents are the order.
+  const usize count = nodes_.size();
+  std::vector<u32> in_degree(count);
+  // Referrer lists in CSR form: block p's referrers are
+  // referrers[first[p] .. first[p + 1]). Counting fills first[] with each
+  // list's end; filling it back to front, in reverse canonical order,
+  // leaves each list in canonical order and first[p] at its start.
+  std::vector<u32> first(count + 1, 0);
+  for (usize p = 0; p < count; ++p) {
+    in_degree[p] = nodes_[p].refs_count;
+    for (const u32 target : ref_positions(p)) ++first[target];
   }
-  std::deque<u32> ready;
-  for (const u32 p : order_) {
-    if (in_degree[p] == 0) ready.push_back(p);
+  u32 edges = 0;
+  for (u32& end : first) {
+    edges += end;
+    end = edges;
   }
-  // Out-edge lists: ref -> referrers, referrers in append order.
-  std::vector<std::vector<u32>> referrers(nodes_.size());
+  std::vector<u32> referrers(edges);
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    for (const u32 target : ref_positions(*it)) referrers[--first[target]] = *it;
+  }
+
+  std::vector<u32> queue;
+  queue.reserve(count);
   for (const u32 p : order_) {
-    for (const MsgId ref : nodes_[p].refs) {
-      referrers[index_of(ref)].push_back(p);
+    if (in_degree[p] == 0) queue.push_back(p);
+  }
+  for (usize head = 0; head < queue.size(); ++head) {
+    const u32 p = queue[head];
+    for (u32 e = first[p]; e < first[p + 1]; ++e) {
+      const u32 j = referrers[e];
+      if (--in_degree[j] == 0) queue.push_back(j);
     }
   }
-  while (!ready.empty()) {
-    const u32 p = ready.front();
-    ready.pop_front();
-    topo_.push_back(nodes_[p].id);
-    for (const u32 j : referrers[p]) {
-      if (--in_degree[j] == 0) ready.push_back(j);
-    }
-  }
-  AMM_ENSURES(topo_.size() == nodes_.size());  // views are acyclic by construction
+  AMM_ENSURES(queue.size() == count);  // views are acyclic by construction
+  topo_.resize(count);
+  for (usize i = 0; i < count; ++i) topo_[i] = nodes_[queue[i]].id;
   topo_valid_ = true;
 }
 

@@ -86,7 +86,11 @@ class BlockGraph {
   std::span<const MsgId> root_children() const { return root_children_; }
 
   /// All references of `id` that are visible in the view (parent included).
-  std::span<const MsgId> refs(MsgId id) const { return node(id).refs; }
+  /// The span is valid until the next extend().
+  std::span<const MsgId> refs(MsgId id) const {
+    const Node& n = node(id);
+    return {ref_ids_.data() + n.refs_begin, n.refs_count};
+  }
 
   const Message& msg(MsgId id) const { return view_.msg(id); }
 
@@ -117,13 +121,18 @@ class BlockGraph {
     MsgId parent = kRootId;
     SimTime time = 0.0;           // appended_at, cached for order keys
     u32 depth = 0;
-    std::vector<MsgId> refs;      // visible refs only, in message order
+    // Visible refs only, in message order: ref_ids_/ref_pos_ entries
+    // [refs_begin, refs_begin + refs_count).
+    u32 refs_begin = 0;
+    u32 refs_count = 0;
     std::vector<MsgId> children;  // parent-edge children, append-time order
     bool referenced = false;      // appears in someone's ref list
   };
 
   const Node& node(MsgId id) const { return nodes_[index_of(id)]; }
-  Node& node_mut(MsgId id) { return nodes_[index_of(id)]; }
+  std::span<const u32> ref_positions(usize pos) const {
+    return {ref_pos_.data() + nodes_[pos].refs_begin, nodes_[pos].refs_count};
+  }
 
   /// Canonical (appended_at, id) order — the order a from-scratch build
   /// ingests nodes in.
@@ -134,6 +143,9 @@ class BlockGraph {
     return a < b;
   }
 
+  /// Records `m`'s visible references as node `p`'s, at the end of the
+  /// reference pool, and marks their targets referenced.
+  void resolve_refs(usize p, const Message& m);
   void attach_child(MsgId parent, MsgId child);
   void detach_child(MsgId parent, MsgId child);
   void recompute_all_depths();
@@ -149,6 +161,11 @@ class BlockGraph {
   std::vector<Node> nodes_;              // ingestion order; positions stable
   std::vector<std::vector<u32>> index_;  // [author][seq] -> position (dense)
   std::vector<u32> order_;               // positions in (appended_at, id) order
+  /// Every node's visible references, as ids and as positions, in one pool
+  /// instead of a vector per node. A late reveal re-resolves its waiters'
+  /// references into a fresh range and leaves the old one unused.
+  std::vector<MsgId> ref_ids_;
+  std::vector<u32> ref_pos_;
   std::vector<MsgId> root_children_;     // append-time order
   std::vector<MsgId> deepest_;           // append-time order
   u32 max_depth_ = 0;

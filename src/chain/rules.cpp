@@ -24,9 +24,10 @@ std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule) {
   // For the longest-chain rule we need, per block, the height of the
   // deepest descendant. Compute it once, bottom-up by descending depth.
   // MsgId is a perfect index into the graph's dense positions, so this is
-  // a flat array rather than a hash map.
-  std::vector<u32> max_reach(graph.block_count());  // deepest depth reachable in subtree
-  {
+  // a flat array rather than a hash map. GHOST reads subtree weights only.
+  std::vector<u32> max_reach;  // deepest depth reachable in subtree
+  if (rule == PivotRule::kLongestChain) {
+    max_reach.resize(graph.block_count());
     const std::vector<MsgId>& order = graph.topo_order();
     // Process leaves first: reverse topological order works because parent
     // edges are a subset of reference edges.
@@ -76,35 +77,32 @@ std::vector<MsgId> linearize_dag(const BlockGraph& graph, PivotRule rule) {
 
   // Position in the global deterministic topo order, for stable epoch-
   // internal ordering.
+  const std::vector<MsgId>& topo = graph.topo_order();
   std::vector<usize> topo_pos(graph.block_count());
-  for (usize i = 0; i < graph.topo_order().size(); ++i) {
-    topo_pos[graph.index_of(graph.topo_order()[i])] = i;
-  }
+  for (usize i = 0; i < topo.size(); ++i) topo_pos[graph.index_of(topo[i])] = i;
 
   std::vector<MsgId> stack;
-  std::vector<MsgId> epoch;
+  std::vector<usize> epoch;  // topo positions of the epoch's blocks
   for (const MsgId p : pivot) {
     epoch.clear();
     stack.push_back(p);
     while (!stack.empty()) {
       const MsgId cur = stack.back();
       stack.pop_back();
-      u8& mark = emitted[graph.index_of(cur)];
-      if (mark != 0) continue;
-      mark = 1;
-      epoch.push_back(cur);
+      const usize at = graph.index_of(cur);
+      if (emitted[at] != 0) continue;
+      emitted[at] = 1;
+      epoch.push_back(topo_pos[at]);
       for (const MsgId ref : graph.refs(cur)) {
         if (emitted[graph.index_of(ref)] == 0) stack.push_back(ref);
       }
     }
-    std::sort(epoch.begin(), epoch.end(), [&](MsgId a, MsgId b) {
-      return topo_pos[graph.index_of(a)] < topo_pos[graph.index_of(b)];
-    });
-    order.insert(order.end(), epoch.begin(), epoch.end());
+    std::sort(epoch.begin(), epoch.end());
+    for (const usize i : epoch) order.push_back(topo[i]);
   }
   // Blocks unreachable from the pivot (withheld side branches nobody
   // referenced) are appended last in topo order, so the output is total.
-  for (const MsgId id : graph.topo_order()) {
+  for (const MsgId id : topo) {
     if (emitted[graph.index_of(id)] == 0) order.push_back(id);
   }
   AMM_ENSURES(order.size() == graph.block_count());

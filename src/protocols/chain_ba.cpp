@@ -1,7 +1,6 @@
 #include "protocols/chain_ba.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -246,26 +245,6 @@ Outcome not_terminated(const ChainParams& params, const ChainState& st) {
   return out;
 }
 
-/// Token source abstraction: equal rates by default, hash-power weighted in
-/// the permissionless mode.
-class TokenSource {
- public:
-  TokenSource(u32 n, double lambda, SimTime delta, const std::vector<double>& weights, Rng rng) {
-    if (weights.empty()) {
-      equal_.emplace(n, lambda, delta, rng);
-    } else {
-      AMM_EXPECTS(weights.size() == n);
-      weighted_.emplace(weights, lambda * static_cast<double>(n), delta, rng);
-    }
-  }
-
-  sched::Token next() { return equal_ ? equal_->next() : weighted_->next(); }
-
- private:
-  std::optional<sched::TokenAuthority> equal_;
-  std::optional<sched::WeightedTokenAuthority> weighted_;
-};
-
 }  // namespace
 
 Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
@@ -338,8 +317,8 @@ Outcome run_chain_continuous(const ChainParams& params, Rng rng) {
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
 
   ChainState st(s.n);
-  TokenSource authority(s.n, params.lambda, params.delta, params.weights,
-                        Rng::for_stream(rng.next(), 1));
+  sched::TokenSource authority(s.n, params.lambda, params.delta, params.weights,
+                               Rng::for_stream(rng.next(), 1));
   Rng tie_rng = Rng::for_stream(rng.next(), 2);
 
   for (u64 i = 0; i < params.max_slots; ++i) {

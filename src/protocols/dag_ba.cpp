@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -14,8 +14,14 @@
 namespace amm::proto {
 namespace {
 
-/// Incremental DAG state: append-order records, parent-edge depths and a
-/// lagging stale-tip frontier for the correct nodes' Δ-old views.
+/// Incremental DAG state: append-order records, parent-edge depths, and the
+/// tips of two views as ascending index lists — the true current view (the
+/// rushing adversary's) and a lagging stale view, the correct nodes' Δ-old
+/// read. Every reference points to an earlier record, so a record's first
+/// referrer is its lowest-indexed one, and "referenced within the first p
+/// records" is one comparison for every view prefix p. An append or an
+/// advance of the stale view therefore costs O(refs + tips), not a rescan
+/// of the trial's history.
 class DagState {
  public:
   explicit DagState(u32 node_count) : memory_(node_count) {}
@@ -30,26 +36,29 @@ class DagState {
   }
 
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
-  usize append(NodeId author, Vote vote, const std::vector<usize>& refs, SimTime now, bool byz) {
+  usize append(NodeId author, Vote vote, std::span<const usize> refs, SimTime now, bool byz) {
+    const usize idx = recs_.size();
     std::vector<am::MsgId> ref_ids;
     ref_ids.reserve(refs.size());
-    for (const usize r : refs) ref_ids.push_back(recs_[r].id);
-    const am::MsgId id = memory_.append(author, vote, /*payload=*/0, std::move(ref_ids), now);
-
+    bool retired = false;
+    for (const usize r : refs) {
+      ref_ids.push_back(recs_[r].id);
+      if (recs_[r].first_referrer == kNone) {
+        recs_[r].first_referrer = idx;
+        retired = true;
+      }
+    }
     Rec rec;
-    rec.id = id;
+    rec.id = memory_.append(author, vote, /*payload=*/0, std::move(ref_ids), now);
     rec.time = now;
     rec.byz = byz;
-    rec.refs = refs;
     rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
-    recs_.push_back(std::move(rec));
+    recs_.push_back(rec);
 
-    const usize idx = recs_.size() - 1;
-    // True-view tip bookkeeping (for the rushing adversary).
-    for (const usize r : refs) true_tip_flags_[r] = false;
-    true_tip_flags_.push_back(true);
-    if (recs_[idx].depth >= deepest_depth_) {
-      deepest_depth_ = recs_[idx].depth;
+    if (retired) drop_referenced(true_tips_, recs_.size());
+    true_tips_.push_back(idx);
+    if (rec.depth >= deepest_depth_) {
+      deepest_depth_ = rec.depth;
       deepest_idx_ = idx;
     }
     return idx;
@@ -62,45 +71,43 @@ class DagState {
   /// Deepest block of the true current view (dump target); size() must be > 0.
   usize deepest() const { return deepest_idx_; }
 
-  /// True current tips (the adversary's rushing view).
-  std::vector<usize> true_tips() const {
-    std::vector<usize> tips;
-    for (usize i = 0; i < recs_.size(); ++i) {
-      if (true_tip_flags_[i]) tips.push_back(i);
-    }
-    return tips;
-  }
+  /// True current tips (the adversary's rushing view), ascending.
+  const std::vector<usize>& true_tips() const { return true_tips_; }
 
-  /// Tips of the view as of `horizon` (correct nodes' stale read). The
-  /// frontier only moves forward; callers must pass non-decreasing horizons.
-  std::vector<usize> stale_tips(SimTime horizon) {
-    while (stale_ptr_ < recs_.size() && recs_[stale_ptr_].time < horizon) {
-      for (const usize r : recs_[stale_ptr_].refs) stale_tip_flags_[r] = false;
-      stale_tip_flags_.push_back(true);
-      ++stale_ptr_;
+  /// Tips of the view as of `horizon` (correct nodes' stale read),
+  /// ascending. The frontier only moves forward; callers must pass
+  /// non-decreasing horizons.
+  const std::vector<usize>& stale_tips(SimTime horizon) {
+    const usize before = stale_end_;
+    while (stale_end_ < recs_.size() && recs_[stale_end_].time < horizon) {
+      stale_tips_.push_back(stale_end_++);
     }
-    std::vector<usize> tips;
-    for (usize i = 0; i < stale_ptr_; ++i) {
-      if (stale_tip_flags_[i]) tips.push_back(i);
-    }
-    return tips;
+    if (stale_end_ != before) drop_referenced(stale_tips_, stale_end_);
+    return stale_tips_;
   }
 
  private:
+  static constexpr usize kNone = ~usize{0};
+
   struct Rec {
     am::MsgId id;
     SimTime time = 0.0;
+    usize first_referrer = kNone;
     u32 depth = 1;
     bool byz = false;
-    std::vector<usize> refs;
   };
+
+  /// Removes the tips referenced by one of the first `view_end` records.
+  void drop_referenced(std::vector<usize>& tips, usize view_end) const {
+    std::erase_if(tips, [&](usize i) { return recs_[i].first_referrer < view_end; });
+  }
 
   am::AppendMemory memory_;
   check::MemoryAuditor auditor_;
   std::vector<Rec> recs_;
-  std::vector<bool> true_tip_flags_;
-  std::vector<bool> stale_tip_flags_;
-  usize stale_ptr_ = 0;
+  std::vector<usize> true_tips_;
+  std::vector<usize> stale_tips_;
+  usize stale_end_ = 0;
   u32 deepest_depth_ = 0;
   usize deepest_idx_ = 0;
 };
@@ -124,16 +131,8 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
 
   DagState st(s.n);
-  std::optional<sched::TokenAuthority> equal_rates;
-  std::optional<sched::WeightedTokenAuthority> weighted;
-  if (params.weights.empty()) {
-    equal_rates.emplace(s.n, params.lambda, params.delta, Rng::for_stream(rng.next(), 1));
-  } else {
-    AMM_EXPECTS(params.weights.size() == s.n);
-    weighted.emplace(params.weights, params.lambda * static_cast<double>(s.n), params.delta,
-                     Rng::for_stream(rng.next(), 1));
-  }
-  auto next_token = [&] { return equal_rates ? equal_rates->next() : weighted->next(); };
+  sched::TokenSource tokens(s.n, params.lambda, params.delta, params.weights,
+                            Rng::for_stream(rng.next(), 1));
 
   const Vote byz_vote = opposite(s.correct_input);
 
@@ -201,6 +200,10 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     out.decision_set_size = cut;
   };
 
+  // The references of the next append: a tip list, parent first. One
+  // buffer for the whole trial.
+  std::vector<usize> refs;
+
   // Temporary asynchrony (the §5.3 closing remark): correct tokens near the
   // decision cut are exercised late; they queue here until release.
   std::deque<std::pair<SimTime, NodeId>> delayed;
@@ -234,10 +237,11 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
       // before this correct append), where the inclusive DAG orders them
       // like ordinary rate-attack blocks. Withholding is therefore never
       // worse than the pure rate attack.
-      std::vector<usize> refs = st.true_tips();
+      refs = st.true_tips();
       if (!refs.empty()) order_parent_first(st, refs);
       for (u64 d = 0; d < bank && public_count < params.k; ++d) {
-        const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{st.size() - 1};
+        const usize prev = st.size() - 1;
+        const auto r = d == 0 ? std::span<const usize>(refs) : std::span<const usize>(&prev, 1);
         st.append(NodeId{s.n - 1}, byz_vote, r, when, /*byz=*/true);
         ++public_count;
         ++byz_public;
@@ -250,14 +254,14 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     bank = 0;  // withhold-only: a correct append outruns the private chain
     last_correct = when;
 
-    std::vector<usize> refs = st.stale_tips(when - params.delta);
+    refs = st.stale_tips(when - params.delta);
     if (!refs.empty()) order_parent_first(st, refs);
     st.append(holder, s.correct_input, refs, when, /*byz=*/false);
     ++public_count;
     if (public_count >= params.k) finish(0, when);
   };
 
-  sched::Token lookahead = next_token();
+  sched::Token lookahead = tokens.next();
   while (steps < params.max_tokens && !decided) {
     ++steps;
     // Release any delayed correct append that precedes the next token.
@@ -269,7 +273,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     }
 
     const sched::Token token = lookahead;
-    lookahead = next_token();
+    lookahead = tokens.next();
 
     if (s.is_byzantine(token.holder)) {
       ++gap_byz_tokens;
@@ -282,11 +286,11 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
           // The first withheld block references all current tips so every
           // public block is ordered before it; the rest chain linearly.
           const u64 need = params.k - public_count;
-          std::vector<usize> refs = st.true_tips();
+          refs = st.true_tips();
           if (!refs.empty()) order_parent_first(st, refs);
           usize prev = 0;
           for (u64 d = 0; d < need; ++d) {
-            const std::vector<usize> r = d == 0 ? refs : std::vector<usize>{prev};
+            const auto r = d == 0 ? std::span<const usize>(refs) : std::span<const usize>(&prev, 1);
             prev = st.append(token.holder, byz_vote, r, token.time, /*byz=*/true);
           }
           result.dumped = need;
@@ -297,7 +301,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
       } else if (params.adversary != DagAdversary::kWithholdOnly) {
         // Rate attack: protocol-following append voting the opposite value,
         // on the adversary's true (rushing) view.
-        std::vector<usize> refs = st.true_tips();
+        refs = st.true_tips();
         if (!refs.empty()) order_parent_first(st, refs);
         st.append(token.holder, byz_vote, refs, token.time, /*byz=*/true);
         ++public_count;

@@ -4,6 +4,7 @@
 // of the "authority who controls the access" and hands out append tokens.
 #pragma once
 
+#include <variant>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -100,6 +101,35 @@ class WeightedTokenAuthority {
   double merged_rate_;
   SimTime clock_ = 0.0;
   Rng rng_;
+};
+
+/// The token stream of a continuous-time protocol: equal rates λ per node
+/// (TokenAuthority), or, given per-node hash-power weights, tokens dealt in
+/// proportion to weight at the same total rate λ·n per Δ
+/// (WeightedTokenAuthority). Either way the stream draws from `rng` exactly
+/// as the underlying authority does.
+class TokenSource {
+ public:
+  TokenSource(u32 node_count, double rate_per_delta, SimTime delta,
+              const std::vector<double>& weights, Rng rng)
+      : authority_(make(node_count, rate_per_delta, delta, weights, rng)) {}
+
+  Token next() {
+    return std::visit([](auto& authority) { return authority.next(); }, authority_);
+  }
+
+ private:
+  using Authority = std::variant<TokenAuthority, WeightedTokenAuthority>;
+
+  static Authority make(u32 node_count, double rate_per_delta, SimTime delta,
+                        const std::vector<double>& weights, Rng rng) {
+    if (weights.empty()) return TokenAuthority(node_count, rate_per_delta, delta, rng);
+    AMM_EXPECTS(weights.size() == node_count);
+    return WeightedTokenAuthority(weights, rate_per_delta * static_cast<double>(node_count),
+                                  delta, rng);
+  }
+
+  Authority authority_;
 };
 
 /// Slotted access counts: the number of tokens each node receives inside

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "chain/block_graph.hpp"
@@ -115,6 +117,70 @@ TEST(BlockGraphExtend, MatchesFromScratchOnRandomGrowingViews) {
       const BlockGraph ref(view);
       expect_identical(inc, ref);
       if (::testing::Test::HasFailure()) return;  // don't spam on first divergence
+    }
+  }
+}
+
+/// Kahn's algorithm written directly over the view, with no BlockGraph
+/// internals: a block's in-degree is its number of visible references, and
+/// ready blocks are served first in, first out, seeded and fanned out in
+/// canonical (appended_at, id) order.
+std::vector<MsgId> reference_kahn(const MemoryView& view) {
+  std::vector<MsgId> ids;
+  view.for_each([&](const am::Message& m) { ids.push_back(m.id); });
+  std::sort(ids.begin(), ids.end(), [&](MsgId a, MsgId b) {
+    const SimTime ta = view.msg(a).appended_at;
+    const SimTime tb = view.msg(b).appended_at;
+    return ta != tb ? ta < tb : a < b;
+  });
+  std::map<MsgId, u32> in_degree;
+  std::map<MsgId, std::vector<MsgId>> referrers;
+  for (const MsgId id : ids) {
+    u32 degree = 0;
+    for (const MsgId ref : view.msg(id).refs) {
+      if (!view.contains(ref)) continue;
+      ++degree;
+      referrers[ref].push_back(id);
+    }
+    in_degree[id] = degree;
+  }
+  std::deque<MsgId> ready;
+  for (const MsgId id : ids) {
+    if (in_degree[id] == 0) ready.push_back(id);
+  }
+  std::vector<MsgId> order;
+  while (!ready.empty()) {
+    const MsgId id = ready.front();
+    ready.pop_front();
+    order.push_back(id);
+    for (const MsgId r : referrers[id]) {
+      if (--in_degree[r] == 0) ready.push_back(r);
+    }
+  }
+  return order;
+}
+
+// The RandomDag.* properties accept any topologically sound order; this
+// pins the exact tie order on growing views, late reveals included.
+TEST(BlockGraph, TopoOrderMatchesReferenceKahn) {
+  Rng seed_rng(20200716);
+  for (int trial = 0; trial < 20; ++trial) {
+    Rng rng = Rng::for_stream(seed_rng.next(), static_cast<u64>(trial));
+    const u32 n = 2 + static_cast<u32>(rng.uniform_below(6));
+    AppendMemory memory(n);
+    random_trace(memory, n, 40 + rng.uniform_below(80), rng);
+
+    const std::vector<u32> full = memory.read().lens();
+    const auto seq = growing_lens_sequence(full, 6 + rng.uniform_below(8), rng);
+
+    BlockGraph inc;
+    for (const std::vector<u32>& lens : seq) {
+      const MemoryView view(&memory, lens);
+      inc.extend(view);
+      const std::vector<MsgId> expected = reference_kahn(view);
+      ASSERT_EQ(expected.size(), inc.block_count());
+      ASSERT_EQ(inc.topo_order(), expected) << "trial " << trial;
+      ASSERT_EQ(BlockGraph(view).topo_order(), expected) << "trial " << trial;
     }
   }
 }

@@ -240,6 +240,19 @@ def logtool(args, *tool_args: str) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
+def expected_replay(dump: str) -> int:
+    """Records a restart replays from its log, read from `amm_logtool dump`:
+    those at log positions at or past the newest snapshot's log_seq, or
+    every record when there is no usable snapshot."""
+    snap = re.search(r"^snapshot .*\blog_seq=(\d+)", dump, re.M)
+    start = int(snap.group(1)) if snap else 0
+    total = 0
+    for seg in re.finditer(r"^segment .*\bfirst_seq=(\d+) records=(\d+)", dump, re.M):
+        first, records = int(seg.group(1)), int(seg.group(2))
+        total += max(0, first + records - max(first, start))
+    return total
+
+
 def run_durable(args) -> None:
     """Crash-recovery gauntlet: SIGKILL mid-write, offline repair, restart
     with local replay + delta-only tail fetch (DESIGN.md §10)."""
@@ -294,6 +307,13 @@ def run_durable(args) -> None:
         if status != 0 or "faults=0" not in out:
             raise ClusterError(f"store still faulty after repair (exit {status}): {out.strip()}")
         log(f"offline repair: torn tail detected, truncated, store re-certified clean")
+        # The repaired store fixes what the restart must replay. It is 0
+        # when the last snapshot covers the whole log, so the check below is
+        # an equality, not "replayed something".
+        status, dump = logtool(args, "dump", "--dir", str(store_dir))
+        if status != 0:
+            raise ClusterError(f"dump failed (exit {status}): {dump.strip()}")
+        replay_expected = expected_replay(dump)
 
         # Phase 2 while the target is down — the tail it must later fetch
         # over the wire (and the only part it should pay wire bytes for).
@@ -326,8 +346,10 @@ def run_durable(args) -> None:
         restart_bytes = cluster.total_bytes() - before_bytes
 
         stats = cluster.stats(target)
-        if stats.get("recovery_replayed_records", 0) == 0:
-            raise ClusterError(f"restarted node replayed nothing from its log: {stats}")
+        if stats.get("recovery_replayed_records", -1) != replay_expected:
+            raise ClusterError(f"restarted node replayed {stats.get('recovery_replayed_records')} "
+                               f"records, the store holds {replay_expected} past its "
+                               f"snapshot: {stats}")
         if stats.get("snapshot_count", 0) == 0:
             raise ClusterError(f"restarted node loaded/wrote no snapshot: {stats}")
         if stats.get("log_bytes", 0) == 0:
