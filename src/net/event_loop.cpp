@@ -1,16 +1,11 @@
 #include "net/event_loop.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <unordered_map>
 
 namespace amm::net {
 
@@ -18,7 +13,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Remaining wait in whole milliseconds, clamped into poll/epoll's int
+/// One wait() drains at most this many ready fds; the rest surface on the
+/// next cycle (level-triggered, so nothing is lost).
+constexpr int kMaxBatch = 256;
+
+/// Remaining wait in whole milliseconds, clamped into epoll_wait's int
 /// domain. Rounds up so a 0.5 ms remainder does not busy-spin at 0.
 int clamped_remaining_ms(Clock::time_point deadline) {
   const auto now = Clock::now();
@@ -28,178 +27,64 @@ int clamped_remaining_ms(Clock::time_point deadline) {
   return static_cast<int>(std::min<long long>(left, INT_MAX));
 }
 
-class PollEventLoop final : public EventLoop {
- public:
-  const char* name() const override { return "poll"; }
-
-  bool add(int fd, u64 token, u32 interest) override {
-    if (fd < 0 || index_.contains(fd)) return false;
-    index_.emplace(fd, fds_.size());
-    fds_.push_back(pollfd{fd, events_of(interest), 0});
-    tokens_.push_back(token);
-    return true;
-  }
-
-  bool modify(int fd, u64 token, u32 interest) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return false;
-    fds_[it->second].events = events_of(interest);
-    tokens_[it->second] = token;
-    return true;
-  }
-
-  void remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const usize pos = it->second;
-    const usize last = fds_.size() - 1;
-    if (pos != last) {
-      fds_[pos] = fds_[last];
-      tokens_[pos] = tokens_[last];
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-    tokens_.pop_back();
-    index_.erase(it);
-  }
-
-  usize watched() const override { return fds_.size(); }
-
-  int wait(std::chrono::milliseconds max_wait, std::vector<ReadyEvent>* out) override {
-    out->clear();
-    const auto deadline = Clock::now() + std::max(max_wait, std::chrono::milliseconds(0));
-    for (;;) {
-      for (pollfd& p : fds_) p.revents = 0;
-      const int rc = ::poll(fds_.data(), fds_.size(), clamped_remaining_ms(deadline));
-      if (rc < 0) {
-        if (errno == EINTR && Clock::now() < deadline) continue;  // retry, same deadline
-        return 0;
-      }
-      if (rc == 0) {
-        if (Clock::now() < deadline) continue;  // clamped chunk elapsed; keep waiting
-        return 0;
-      }
-      for (usize i = 0; i < fds_.size(); ++i) {
-        const short re = fds_[i].revents;
-        if (re == 0) continue;
-        ReadyEvent ev;
-        ev.token = tokens_[i];
-        ev.readable = (re & POLLIN) != 0;
-        ev.writable = (re & POLLOUT) != 0;
-        ev.error = (re & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-        out->push_back(ev);
-      }
-      return static_cast<int>(out->size());
-    }
-  }
-
- private:
-  static short events_of(u32 interest) {
-    short events = 0;
-    if ((interest & kRead) != 0) events |= POLLIN;
-    if ((interest & kWrite) != 0) events |= POLLOUT;
-    return events;
-  }
-
-  std::vector<pollfd> fds_;
-  std::vector<u64> tokens_;
-  std::unordered_map<int, usize> index_;  ///< fd -> position in fds_/tokens_
-};
-
-#ifdef __linux__
-
-class EpollEventLoop final : public EventLoop {
- public:
-  EpollEventLoop() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollEventLoop() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool ok() const { return epfd_ >= 0; }
-  const char* name() const override { return "epoll"; }
-
-  bool add(int fd, u64 token, u32 interest) override {
-    epoll_event ev = event_of(token, interest);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-    ++watched_;
-    return true;
-  }
-
-  bool modify(int fd, u64 token, u32 interest) override {
-    epoll_event ev = event_of(token, interest);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-
-  void remove(int fd) override {
-    if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0 && watched_ > 0) --watched_;
-  }
-
-  usize watched() const override { return watched_; }
-
-  int wait(std::chrono::milliseconds max_wait, std::vector<ReadyEvent>* out) override {
-    out->clear();
-    const auto deadline = Clock::now() + std::max(max_wait, std::chrono::milliseconds(0));
-    epoll_event ready[kMaxBatch];
-    for (;;) {
-      const int rc = ::epoll_wait(epfd_, ready, kMaxBatch, clamped_remaining_ms(deadline));
-      if (rc < 0) {
-        if (errno == EINTR && Clock::now() < deadline) continue;  // retry, same deadline
-        return 0;
-      }
-      if (rc == 0) {
-        if (Clock::now() < deadline) continue;  // clamped chunk elapsed; keep waiting
-        return 0;
-      }
-      for (int i = 0; i < rc; ++i) {
-        ReadyEvent ev;
-        ev.token = ready[i].data.u64;
-        ev.readable = (ready[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-        ev.writable = (ready[i].events & EPOLLOUT) != 0;
-        ev.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-        out->push_back(ev);
-      }
-      return rc;
-    }
-  }
-
- private:
-  /// One wait() drains at most this many ready fds; the rest surface on
-  /// the next cycle (level-triggered, so nothing is lost).
-  static constexpr int kMaxBatch = 256;
-
-  static epoll_event event_of(u64 token, u32 interest) {
-    epoll_event ev{};
-    if ((interest & kRead) != 0) ev.events |= EPOLLIN;
-    if ((interest & kWrite) != 0) ev.events |= EPOLLOUT;
-    ev.data.u64 = token;
-    return ev;
-  }
-
-  int epfd_ = -1;
-  usize watched_ = 0;
-};
-
-#endif  // __linux__
+epoll_event event_of(u64 token, u32 interest) {
+  epoll_event ev{};
+  if ((interest & EventLoop::kRead) != 0) ev.events |= EPOLLIN;
+  if ((interest & EventLoop::kWrite) != 0) ev.events |= EPOLLOUT;
+  ev.data.u64 = token;
+  return ev;
+}
 
 }  // namespace
 
-LoopBackend parse_loop_backend(const std::string& name) {
-  if (name == "poll") return LoopBackend::kPoll;
-  if (name == "epoll") return LoopBackend::kEpoll;
-  return LoopBackend::kAuto;
+EventLoop::EventLoop() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0) open_error_ = errno;
 }
 
-std::unique_ptr<EventLoop> EventLoop::make(LoopBackend backend) {
-#ifdef __linux__
-  if (backend == LoopBackend::kEpoll || backend == LoopBackend::kAuto) {
-    auto loop = std::make_unique<EpollEventLoop>();
-    if (loop->ok()) return loop;
-    if (backend == LoopBackend::kEpoll) return nullptr;
+EventLoop::~EventLoop() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
+bool EventLoop::add(int fd, u64 token, u32 interest) {
+  epoll_event ev = event_of(token, interest);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
+  ++watched_;
+  return true;
+}
+
+bool EventLoop::modify(int fd, u64 token, u32 interest) {
+  epoll_event ev = event_of(token, interest);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
+}
+
+void EventLoop::remove(int fd) {
+  if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0 && watched_ > 0) --watched_;
+}
+
+int EventLoop::wait(std::chrono::milliseconds max_wait, std::vector<ReadyEvent>* out) {
+  out->clear();
+  const auto deadline = Clock::now() + std::max(max_wait, std::chrono::milliseconds(0));
+  epoll_event ready[kMaxBatch];
+  for (;;) {
+    const int rc = ::epoll_wait(epfd_, ready, kMaxBatch, clamped_remaining_ms(deadline));
+    if (rc < 0) {
+      if (errno == EINTR && Clock::now() < deadline) continue;  // retry, same deadline
+      return 0;
+    }
+    if (rc == 0) {
+      if (Clock::now() < deadline) continue;  // clamped chunk elapsed; keep waiting
+      return 0;
+    }
+    for (int i = 0; i < rc; ++i) {
+      ReadyEvent ev;
+      ev.token = ready[i].data.u64;
+      ev.readable = (ready[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+      ev.writable = (ready[i].events & EPOLLOUT) != 0;
+      ev.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+      out->push_back(ev);
+    }
+    return rc;
   }
-#else
-  if (backend == LoopBackend::kEpoll) return nullptr;
-#endif
-  return std::make_unique<PollEventLoop>();
 }
 
 }  // namespace amm::net

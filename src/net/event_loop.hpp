@@ -1,19 +1,13 @@
-// Readiness-notification seam for the TCP transport's reactor.
+// Readiness notification for the TCP transport's reactor: one epoll(7)
+// instance.
 //
 // The transport used to rebuild a pollfd vector and call ::poll every
 // cycle — O(sessions) per iteration even when one fd is ready, which caps
-// a node at a few dozen connections. EventLoop abstracts the readiness
-// primitive behind add/modify/remove/wait so the reactor pays O(changes)
-// for registration and O(ready) per cycle, with two backends selected at
-// runtime:
-//
-//   kEpoll — epoll(7), Linux only. The kernel holds the interest set;
-//            wait() returns only ready fds. The production backend.
-//   kPoll  — a persistent pollfd vector maintained incrementally (no
-//            per-cycle rebuild). Portable fallback and the reference the
-//            parity suite (tests/net/event_loop_test.cpp) compares epoll
-//            against: both are level-triggered, so a transport above the
-//            seam behaves identically on either.
+// a node at a few dozen connections. EventLoop keeps the interest set in
+// the kernel behind add/modify/remove/wait, so the reactor pays
+// O(changes) for registration and O(ready) per cycle. Readiness is
+// level-triggered: a ready fd the reactor leaves unserviced is reported
+// again on the next wait().
 //
 // Registrations are (fd, token, interest): the token — not the fd — is
 // what wait() reports, so a session torn down mid-dispatch cannot be
@@ -23,27 +17,15 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "support/types.hpp"
 
 namespace amm::net {
 
-enum class LoopBackend : u8 {
-  kAuto = 0,   ///< epoll where available (Linux), poll elsewhere
-  kPoll = 1,
-  kEpoll = 2,  ///< make() fails on platforms without epoll
-};
-
-/// Parses "auto" / "poll" / "epoll" (the amm_node --backend flag).
-/// Unknown strings map to kAuto.
-LoopBackend parse_loop_backend(const std::string& name);
-
 /// One ready registration, reported by token. `error` covers hangup and
-/// error conditions (POLLERR/POLLHUP/POLLNVAL, EPOLLERR/EPOLLHUP); a
-/// readable error still delivers the buffered bytes and EOF through read.
+/// error conditions (EPOLLERR/EPOLLHUP); a readable error still delivers
+/// the buffered bytes and EOF through read.
 struct ReadyEvent {
   u64 token = 0;
   bool readable = false;
@@ -56,37 +38,45 @@ class EventLoop {
   static constexpr u32 kRead = 1;
   static constexpr u32 kWrite = 2;
 
-  virtual ~EventLoop() = default;
+  /// Creates the epoll instance; check ok() before use.
+  EventLoop();
+  ~EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
-  virtual const char* name() const = 0;
+  /// False when epoll_create1 failed — the process or the system is out of
+  /// descriptors (EMFILE/ENFILE); open_error() holds that errno, and every
+  /// other call then fails.
+  bool ok() const { return epfd_ >= 0; }
+  int open_error() const { return open_error_; }
 
   /// Registers `fd` with the given interest mask. The token is returned
   /// verbatim in ReadyEvent. One registration per fd.
-  virtual bool add(int fd, u64 token, u32 interest) = 0;
+  bool add(int fd, u64 token, u32 interest);
 
   /// Replaces the interest mask (and token) of a registered fd.
-  virtual bool modify(int fd, u64 token, u32 interest) = 0;
+  bool modify(int fd, u64 token, u32 interest);
 
   /// Unregisters `fd`. Must be called before the fd is closed so a
   /// recycled descriptor number cannot inherit a stale registration
   /// (epoll would otherwise keep reporting the old token until the
   /// kernel's own file reference drops). Unknown fds are ignored.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Number of registered fds.
-  virtual usize watched() const = 0;
+  usize watched() const { return watched_; }
 
   /// Waits up to `max_wait` for readiness and appends ready registrations
   /// to `*out` (cleared first). Returns the number of ready events, 0 on
   /// timeout. EINTR is retried without extending the deadline; negative
   /// waits are treated as 0 and waits beyond INT_MAX ms are chunked, so
   /// the caller's deadline is honored exactly regardless of magnitude.
-  virtual int wait(std::chrono::milliseconds max_wait, std::vector<ReadyEvent>* out) = 0;
+  int wait(std::chrono::milliseconds max_wait, std::vector<ReadyEvent>* out);
 
-  /// Constructs the requested backend; kAuto prefers epoll where the
-  /// platform has it. Returns nullptr only if an explicitly requested
-  /// backend is unavailable (kEpoll off-Linux or descriptor exhaustion).
-  static std::unique_ptr<EventLoop> make(LoopBackend backend);
+ private:
+  int epfd_ = -1;
+  int open_error_ = 0;
+  usize watched_ = 0;
 };
 
 }  // namespace amm::net

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
-#include <algorithm>
 #include <cerrno>
 
 namespace amm::net {
@@ -19,16 +18,16 @@ struct FrameRef {
   usize index = 0;
 };
 
-/// Fills `refs` with up to `max_iov` frames in drain order.
-usize drain_order(const Session& s, FrameRef* refs, usize max_iov) {
+/// Fills `refs` with up to kMaxWriteIov frames in drain order.
+usize drain_order(const Session& s, FrameRef* refs) {
   usize n = 0;
   usize skip[kTxClasses] = {0, 0};
   if (s.tx_active >= 0) {
     refs[n++] = FrameRef{static_cast<usize>(s.tx_active), 0};
     skip[s.tx_active] = 1;
   }
-  for (usize cls = 0; cls < kTxClasses && n < max_iov; ++cls) {
-    for (usize i = skip[cls]; i < s.tx[cls].size() && n < max_iov; ++i) {
+  for (usize cls = 0; cls < kTxClasses && n < kMaxWriteIov; ++cls) {
+    for (usize i = skip[cls]; i < s.tx[cls].size() && n < kMaxWriteIov; ++i) {
       refs[n++] = FrameRef{cls, i};
     }
   }
@@ -37,13 +36,12 @@ usize drain_order(const Session& s, FrameRef* refs, usize max_iov) {
 
 }  // namespace
 
-FlushResult flush_session_buffers(Session& session, usize max_iov) {
+FlushResult flush_session_buffers(Session& session) {
   FlushResult result;
-  max_iov = std::min(max_iov, kMaxWriteIov);
   while (session.tx_bytes > 0) {
     FrameRef refs[kMaxWriteIov];
     iovec iov[kMaxWriteIov];
-    const usize chain = drain_order(session, refs, max_iov);
+    const usize chain = drain_order(session, refs);
     for (usize i = 0; i < chain; ++i) {
       const FrameBuf& frame = session.tx[refs[i].cls][refs[i].index];
       const usize off = (i == 0 && session.tx_active >= 0) ? session.tx_off : 0;

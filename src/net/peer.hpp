@@ -123,11 +123,11 @@ struct FlushResult {
 };
 
 /// Drains the session's queues — partial front first, then the ctl class,
-/// then replication — through writev chains of up to `max_iov` frames per
-/// syscall. Stops on EAGAIN (socket full; resume on the next writable
+/// then replication — through writev chains of up to kMaxWriteIov frames
+/// per syscall. Stops on EAGAIN (socket full; resume on the next writable
 /// event). Never blocks: the fd must be nonblocking and the chain is sent
 /// with MSG_DONTWAIT regardless.
-FlushResult flush_session_buffers(Session& session, usize max_iov = kMaxWriteIov);
+FlushResult flush_session_buffers(Session& session);
 
 /// Builds the hello this endpoint sends when dialing peer connections.
 Hello make_hello(NodeId self, u64 nonce, const crypto::KeyRegistry& keys);

@@ -55,14 +55,16 @@ TcpTransport::TcpTransport(TransportConfig config, const crypto::KeyRegistry& ke
   AMM_EXPECTS(config_.self.index < config_.peers.size());
   AMM_EXPECTS(keys.node_count() >= node_count());
   AMM_EXPECTS(config_.outbound_low_watermark <= config_.outbound_high_watermark);
-  loop_ = EventLoop::make(config_.backend);
-  if (!loop_) loop_ = EventLoop::make(LoopBackend::kPoll);  // requested backend unavailable
 }
 
 TcpTransport::~TcpTransport() { stop(); }
 
 bool TcpTransport::start() {
   AMM_EXPECTS(listen_fd_ < 0);
+  if (!loop_.ok()) {
+    errno = loop_.open_error();
+    return false;
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
   const int one = 1;
@@ -80,7 +82,7 @@ bool TcpTransport::start() {
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0 ||
-      !loop_->add(fd, kListenerToken, EventLoop::kRead)) {
+      !loop_.add(fd, kListenerToken, EventLoop::kRead)) {
     ::close(fd);
     return false;
   }
@@ -151,7 +153,7 @@ void TcpTransport::queue_frame_to_peer(u32 peer_index, FrameBuf frame) {
     return;
   }
   // Link down: hold the frame for the next (re)connect, oldest out first.
-  if (link.pending.size() >= config_.max_pending_frames_per_peer) {
+  if (link.pending.size() >= kMaxPendingFramesPerPeer) {
     link.pending.pop_front();
     ++frames_dropped_;
   }
@@ -160,7 +162,7 @@ void TcpTransport::queue_frame_to_peer(u32 peer_index, FrameBuf frame) {
 
 void TcpTransport::register_session(Session& session, u32 interest) {
   session.interest = interest;
-  loop_->add(session.fd, session.id, interest);
+  loop_.add(session.fd, session.id, interest);
   by_token_.emplace(session.id, &session);
 }
 
@@ -237,7 +239,7 @@ void TcpTransport::on_link_down(Link& link) {
       link.pending.push_front(std::move(repl.back()));
       repl.pop_back();
     }
-    while (link.pending.size() > config_.max_pending_frames_per_peer) {
+    while (link.pending.size() > kMaxPendingFramesPerPeer) {
       link.pending.pop_front();
       ++frames_dropped_;
     }
@@ -385,8 +387,8 @@ bool TcpTransport::handle_frame(Session& session, const FrameView& frame) {
 
 void TcpTransport::dispatch() {
   // Deterministic dispatch: by author, stable — per-session FIFO (the one
-  // order TCP guarantees) is preserved, and the sequence no longer depends
-  // on which backend fired or in what order fds became ready.
+  // order TCP guarantees) is preserved, and the sequence does not depend
+  // on the order in which fds became ready.
   std::stable_sort(pending_msgs_.begin(), pending_msgs_.end(),
                    [](const auto& a, const auto& b) { return a.first.index < b.first.index; });
   for (const auto& [from, msg] : pending_msgs_) {
@@ -419,7 +421,7 @@ void TcpTransport::sync_interest(Session& session) {
   if (session.fd < 0 || session.state == SessionState::kClosed) return;
   const u32 desired = EventLoop::kRead | (session.wants_write() ? EventLoop::kWrite : 0);
   if (desired != session.interest) {
-    loop_->modify(session.fd, session.id, desired);
+    loop_.modify(session.fd, session.id, desired);
     session.interest = desired;
   }
 }
@@ -434,7 +436,7 @@ void TcpTransport::update_paused(Session& session) {
 
 void TcpTransport::flush_and_sync(Session& session) {
   if (session.fd < 0 || session.state == SessionState::kClosed) return;
-  const FlushResult result = flush_session_buffers(session, config_.max_write_iov);
+  const FlushResult result = flush_session_buffers(session);
   writev_calls_ += result.syscalls;
   if (result.fatal) {
     close_session(session);
@@ -471,7 +473,7 @@ void TcpTransport::close_session(Session& session) {
     // Unregister before close: a recycled fd number must not inherit this
     // session's loop registration (events are token-keyed, but epoll's
     // interest list is fd-keyed).
-    loop_->remove(session.fd);
+    loop_.remove(session.fd);
     ::close(session.fd);
     session.fd = -1;
   }
@@ -517,7 +519,7 @@ void TcpTransport::poll_once(std::chrono::milliseconds max_wait) {
   }
   if (!local_.empty()) wait_ms = 0;
 
-  const int ready = loop_->wait(std::chrono::milliseconds(wait_ms), &events_);
+  const int ready = loop_.wait(std::chrono::milliseconds(wait_ms), &events_);
   if (ready > 0) {
     for (const ReadyEvent& event : events_) {
       if (event.token == kListenerToken) {
@@ -589,7 +591,7 @@ void TcpTransport::run_for(std::chrono::milliseconds deadline) {
 
 void TcpTransport::stop() {
   if (listen_fd_ >= 0) {
-    loop_->remove(listen_fd_);
+    loop_.remove(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }

@@ -1,4 +1,4 @@
-// TCP transport: mp::Transport over real sockets, on an EventLoop reactor.
+// TCP transport: mp::Transport over real sockets, on an epoll reactor.
 //
 // Threading model: a single-threaded reactor. All socket I/O, reconnect
 // timers, protocol handler callbacks and control-plane callbacks run on
@@ -6,23 +6,22 @@
 // called from that same thread (protocol code only ever runs inside
 // handlers, so this falls out naturally). No locks, no cross-thread state.
 //
-// Readiness: the reactor registers every fd with an EventLoop
-// (net/event_loop.hpp) — epoll on Linux, a persistent poll set elsewhere —
-// and pays O(ready) per cycle instead of rebuilding an O(sessions) pollfd
-// vector. Sessions are identified by token, not fd, so a session torn
-// down mid-dispatch cannot be confused with a newer one that recycled its
-// descriptor. Sessions with queued output are tracked on a dirty list and
-// flushed through bounded writev chains (peer.hpp) — one syscall per
-// batch of small frames — with POLLOUT interest maintained only while
-// bytes remain.
+// Readiness: the reactor registers every fd with its EventLoop
+// (net/event_loop.hpp, one epoll instance) and pays O(ready) per cycle
+// instead of rebuilding an O(sessions) pollfd vector. Sessions are
+// identified by token, not fd, so a session torn down mid-dispatch cannot
+// be confused with a newer one that recycled its descriptor. Sessions
+// with queued output are tracked on a dirty list and flushed through
+// bounded writev chains (peer.hpp) — one syscall per batch of small
+// frames — with write interest maintained only while bytes remain.
 //
 // Message dispatch is deterministic per author: messages decoded in one
 // drain cycle dispatch sorted by author id (stable, so per-session FIFO
 // order — the only order TCP guarantees — is preserved). The delivered
-// message sequence therefore does not depend on which readiness backend
-// fired or in what order fds became ready. The transport checks no record,
-// ack or checkpoint signature: the handler's node (mp::AbdNode) is the one
-// Lemma 4.1 boundary, on every transport.
+// message sequence therefore does not depend on the order in which fds
+// became ready. The transport checks no record, ack or checkpoint
+// signature: the handler's node (mp::AbdNode) is the one Lemma 4.1
+// boundary, on every transport.
 //
 // Backpressure: each session carries a byte budget with high/low
 // watermarks. A peer that stops reading pushes the session over the high
@@ -74,16 +73,13 @@ struct Endpoint {
 struct TransportConfig {
   NodeId self;
   std::vector<Endpoint> peers;  ///< indexed by node id; size = cluster n
-  LoopBackend backend = LoopBackend::kAuto;
   std::chrono::milliseconds backoff_base{50};
   std::chrono::milliseconds backoff_max{2000};
-  usize max_pending_frames_per_peer = 8192;  ///< queued while a link is down
   /// Per-session outbound byte budget. Above high, replication frames are
   /// refused; below low, they resume (hysteresis so a session near the
   /// boundary does not flap). Control frames are exempt.
   usize outbound_high_watermark = 4u << 20;
   usize outbound_low_watermark = 1u << 20;
-  usize max_write_iov = kMaxWriteIov;  ///< frames coalesced per writev
 };
 
 class TcpTransport final : public mp::Transport {
@@ -94,14 +90,12 @@ class TcpTransport final : public mp::Transport {
   ~TcpTransport() override;
 
   /// Binds and listens on peers[self]. Port 0 binds an ephemeral port
-  /// (see listen_port()). Returns false (with errno intact) on failure.
+  /// (see listen_port()). Returns false (with errno intact) on failure,
+  /// including a reactor that could not be created (EMFILE/ENFILE).
   bool start();
 
   /// The actually bound port (differs from the config with port 0).
   u16 listen_port() const { return listen_port_; }
-
-  /// The readiness backend actually in use ("epoll" / "poll").
-  const char* backend_name() const { return loop_ ? loop_->name() : "none"; }
 
   /// Lets tests wire ephemeral ports together after start().
   void set_peer_endpoint(NodeId id, Endpoint endpoint);
@@ -162,6 +156,8 @@ class TcpTransport final : public mp::Transport {
 
   /// The listener's loop token; session ids start at 1, so 0 is free.
   static constexpr u64 kListenerToken = 0;
+  /// Frames queued per peer while its link is down; the oldest drop first.
+  static constexpr usize kMaxPendingFramesPerPeer = 8192;
 
   /// One outbound link to a fixed peer, with its reconnect schedule and
   /// the frames queued while it is down.
@@ -199,7 +195,7 @@ class TcpTransport final : public mp::Transport {
   Handler handler_;
   CtlHandler ctl_handler_;
 
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   int listen_fd_ = -1;
   u16 listen_port_ = 0;
   bool dialing_ = false;         ///< connect_peers() has been called

@@ -1,16 +1,18 @@
-// EventLoop backend tests: unit semantics of both readiness backends, the
-// timeout-clamp regression, writev batching and two-class flush ordering,
-// per-peer backpressure, and the cross-backend parity suite — the same
-// transport workload must deliver the same per-author message sequences
-// and the same final ABD views whether epoll or poll is underneath.
+// EventLoop tests: unit semantics of the epoll reactor, the timeout-clamp
+// regression, writev batching and two-class flush ordering, per-peer
+// backpressure, descriptor exhaustion, and transport workloads whose
+// delivered message sequences and final ABD views are known exactly.
 #include "net/event_loop.hpp"
 
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -24,14 +26,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Every backend constructible on this platform (poll everywhere, epoll
-/// where the platform has it) — the unit tests run under each.
-std::vector<LoopBackend> available_backends() {
-  std::vector<LoopBackend> backends{LoopBackend::kPoll};
-  if (EventLoop::make(LoopBackend::kEpoll)) backends.push_back(LoopBackend::kEpoll);
-  return backends;
-}
-
 struct Pipe {
   int fds[2] = {-1, -1};
   Pipe() { EXPECT_EQ(::pipe(fds), 0); }
@@ -44,63 +38,52 @@ struct Pipe {
   void write_byte() const { ASSERT_EQ(::write(writer(), "x", 1), 1); }
 };
 
-TEST(EventLoop, ParseBackendNames) {
-  EXPECT_EQ(parse_loop_backend("poll"), LoopBackend::kPoll);
-  EXPECT_EQ(parse_loop_backend("epoll"), LoopBackend::kEpoll);
-  EXPECT_EQ(parse_loop_backend("auto"), LoopBackend::kAuto);
-  EXPECT_EQ(parse_loop_backend("bogus"), LoopBackend::kAuto);
-}
-
 TEST(EventLoop, AddModifyRemoveAndReadiness) {
-  for (const LoopBackend backend : available_backends()) {
-    const auto loop = EventLoop::make(backend);
-    ASSERT_TRUE(loop);
-    Pipe pipe;
-    EXPECT_TRUE(loop->add(pipe.reader(), 7, EventLoop::kRead));
-    EXPECT_FALSE(loop->add(pipe.reader(), 8, EventLoop::kRead));  // one reg per fd
-    EXPECT_EQ(loop->watched(), 1u);
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  Pipe pipe;
+  EXPECT_TRUE(loop.add(pipe.reader(), 7, EventLoop::kRead));
+  EXPECT_FALSE(loop.add(pipe.reader(), 8, EventLoop::kRead));  // one reg per fd
+  EXPECT_EQ(loop.watched(), 1u);
 
-    std::vector<ReadyEvent> events;
-    EXPECT_EQ(loop->wait(0ms, &events), 0) << loop->name();
+  std::vector<ReadyEvent> events;
+  EXPECT_EQ(loop.wait(0ms, &events), 0);
 
-    pipe.write_byte();
-    ASSERT_EQ(loop->wait(1000ms, &events), 1) << loop->name();
-    EXPECT_EQ(events[0].token, 7u);
-    EXPECT_TRUE(events[0].readable);
-    EXPECT_FALSE(events[0].writable);
+  pipe.write_byte();
+  ASSERT_EQ(loop.wait(1000ms, &events), 1);
+  EXPECT_EQ(events[0].token, 7u);
+  EXPECT_TRUE(events[0].readable);
+  EXPECT_FALSE(events[0].writable);
 
-    // Interest masked off: the pending byte no longer surfaces.
-    EXPECT_TRUE(loop->modify(pipe.reader(), 7, 0));
-    EXPECT_EQ(loop->wait(0ms, &events), 0) << loop->name();
+  // Interest masked off: the pending byte no longer surfaces.
+  EXPECT_TRUE(loop.modify(pipe.reader(), 7, 0));
+  EXPECT_EQ(loop.wait(0ms, &events), 0);
 
-    loop->remove(pipe.reader());
-    EXPECT_EQ(loop->watched(), 0u);
-    EXPECT_EQ(loop->wait(0ms, &events), 0) << loop->name();
-    EXPECT_FALSE(loop->modify(pipe.reader(), 7, EventLoop::kRead));
-  }
+  loop.remove(pipe.reader());
+  EXPECT_EQ(loop.watched(), 0u);
+  EXPECT_EQ(loop.wait(0ms, &events), 0);
+  EXPECT_FALSE(loop.modify(pipe.reader(), 7, EventLoop::kRead));
 }
 
 TEST(EventLoop, TokensSurviveFdReuse) {
   // The loop reports tokens, not fds: after remove+close, a new
   // registration that recycles the same descriptor number must surface
   // with the *new* token.
-  for (const LoopBackend backend : available_backends()) {
-    const auto loop = EventLoop::make(backend);
-    ASSERT_TRUE(loop);
-    auto first = std::make_unique<Pipe>();
-    const int old_fd = first->reader();
-    EXPECT_TRUE(loop->add(first->reader(), 1, EventLoop::kRead));
-    loop->remove(first->reader());
-    first.reset();  // closes the fds; the next pipe() typically reuses them
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  auto first = std::make_unique<Pipe>();
+  const int old_fd = first->reader();
+  EXPECT_TRUE(loop.add(first->reader(), 1, EventLoop::kRead));
+  loop.remove(first->reader());
+  first.reset();  // closes the fds; the next pipe() typically reuses them
 
-    Pipe second;
-    EXPECT_TRUE(loop->add(second.reader(), 2, EventLoop::kRead));
-    second.write_byte();
-    std::vector<ReadyEvent> events;
-    ASSERT_EQ(loop->wait(1000ms, &events), 1) << loop->name();
-    EXPECT_EQ(events[0].token, 2u) << "stale registration for fd " << old_fd;
-    loop->remove(second.reader());
-  }
+  Pipe second;
+  EXPECT_TRUE(loop.add(second.reader(), 2, EventLoop::kRead));
+  second.write_byte();
+  std::vector<ReadyEvent> events;
+  ASSERT_EQ(loop.wait(1000ms, &events), 1);
+  EXPECT_EQ(events[0].token, 2u) << "stale registration for fd " << old_fd;
+  loop.remove(second.reader());
 }
 
 TEST(EventLoop, HugeTimeoutDoesNotTruncate) {
@@ -108,32 +91,68 @@ TEST(EventLoop, HugeTimeoutDoesNotTruncate) {
   // to ::poll, so a wait beyond INT_MAX ms went negative — an infinite
   // poll. A ready fd must surface immediately no matter how large the
   // timeout.
-  for (const LoopBackend backend : available_backends()) {
-    const auto loop = EventLoop::make(backend);
-    ASSERT_TRUE(loop);
-    Pipe pipe;
-    ASSERT_TRUE(loop->add(pipe.reader(), 1, EventLoop::kRead));
-    pipe.write_byte();
-    std::vector<ReadyEvent> events;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(loop->wait(std::chrono::milliseconds(i64{1} << 31), &events), 1) << loop->name();
-    EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
-    loop->remove(pipe.reader());
-  }
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  Pipe pipe;
+  ASSERT_TRUE(loop.add(pipe.reader(), 1, EventLoop::kRead));
+  pipe.write_byte();
+  std::vector<ReadyEvent> events;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(loop.wait(std::chrono::milliseconds(i64{1} << 31), &events), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+  loop.remove(pipe.reader());
 }
 
 TEST(EventLoop, TimeoutDeadlineHonored) {
-  for (const LoopBackend backend : available_backends()) {
-    const auto loop = EventLoop::make(backend);
-    ASSERT_TRUE(loop);
-    Pipe pipe;  // registered but never written — pure timeout path
-    ASSERT_TRUE(loop->add(pipe.reader(), 1, EventLoop::kRead));
-    std::vector<ReadyEvent> events;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(loop->wait(60ms, &events), 0) << loop->name();
-    EXPECT_GE(std::chrono::steady_clock::now() - t0, 55ms) << loop->name();
-    loop->remove(pipe.reader());
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  Pipe pipe;  // registered but never written — pure timeout path
+  ASSERT_TRUE(loop.add(pipe.reader(), 1, EventLoop::kRead));
+  std::vector<ReadyEvent> events;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(loop.wait(60ms, &events), 0);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 55ms);
+  loop.remove(pipe.reader());
+}
+
+/// Lowers this process's soft descriptor limit for the guard's lifetime.
+struct FdLimit {
+  rlimit saved{};
+  explicit FdLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit lowered = saved;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
   }
+  ~FdLimit() { EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0); }
+};
+
+TEST(EventLoop, DescriptorExhaustionFailsStartWithoutFallback) {
+  crypto::KeyRegistry keys(2, 1);
+  TransportConfig config;
+  config.self = NodeId{0};
+  config.peers.assign(2, Endpoint{"127.0.0.1", 0});
+  // Built with descriptors available, a transport starts. Building one
+  // first also warms UBSan's dynamic-type cache: on a miss the sanitizer
+  // probes memory through a pipe, which the lowered limit below denies.
+  TcpTransport control(config, keys, Rng(1));
+  ASSERT_TRUE(control.start());
+
+  std::unique_ptr<TcpTransport> starved;
+  {
+    const FdLimit none(0);  // no descriptor can be allocated: epoll_create1 -> EMFILE
+    EventLoop loop;
+    EXPECT_FALSE(loop.ok());
+    EXPECT_EQ(loop.open_error(), EMFILE);
+    starved = std::make_unique<TcpTransport>(config, keys, Rng(2));
+  }
+  // Descriptors are available again, so a listener could be opened, but
+  // the transport has no reactor to run it on: start() refuses, errno says
+  // why, and nothing aborts.
+  errno = 0;
+  EXPECT_FALSE(starved->start());
+  EXPECT_EQ(errno, EMFILE);
+  EXPECT_EQ(starved->listen_port(), 0u);
 }
 
 // ---- vectored flush + two-class queue semantics (peer.hpp) ----
@@ -255,18 +274,17 @@ TEST(SessionFlush, FatalErrorReported) {
   EXPECT_TRUE(result.fatal);
 }
 
-// ---- transport-level suites, run under each backend ----
+// ---- transport-level suites ----
 
-/// A loopback cluster on ephemeral ports with a fixed readiness backend.
-struct BackendCluster {
-  BackendCluster(u32 n, LoopBackend backend, u64 seed = 1,
-                 usize high_watermark = 4u << 20, usize low_watermark = 1u << 20)
+/// A loopback cluster on ephemeral ports with the given watermarks.
+struct LoopbackCluster {
+  explicit LoopbackCluster(u32 n, u64 seed = 1, usize high_watermark = 4u << 20,
+                           usize low_watermark = 1u << 20)
       : keys(n, seed) {
     for (u32 i = 0; i < n; ++i) {
       TransportConfig config;
       config.self = NodeId{i};
       config.peers.assign(n, Endpoint{"127.0.0.1", 0});
-      config.backend = backend;
       config.backoff_base = 5ms;
       config.backoff_max = 50ms;
       config.outbound_high_watermark = high_watermark;
@@ -301,10 +319,8 @@ struct BackendCluster {
   std::vector<std::unique_ptr<TcpTransport>> transports;
 };
 
-/// Drives a fixed two-author workload under `backend` and returns the
-/// receiver-side delivered sequence as (author, seq) pairs.
-std::vector<std::pair<u32, u32>> delivered_sequence(LoopBackend backend) {
-  BackendCluster cluster(3, backend);
+TEST(TransportDelivery, EveryAuthorsSequenceArrivesWholeAndInOrder) {
+  LoopbackCluster cluster(3);
   cluster.connect_all();
   std::vector<std::pair<u32, u32>> delivered;
   cluster.transports[2]->attach(NodeId{2}, [&](NodeId from, const mp::WireMessage& msg) {
@@ -324,38 +340,23 @@ std::vector<std::pair<u32, u32>> delivered_sequence(LoopBackend backend) {
       cluster.transports[author]->send(NodeId{author}, NodeId{2}, msg);
     }
   }
-  EXPECT_TRUE(cluster.pump_until([&] { return delivered.size() == 2 * kPerAuthor; }))
+  ASSERT_TRUE(cluster.pump_until([&] { return delivered.size() == 2 * kPerAuthor; }))
       << "delivered " << delivered.size();
-  return delivered;
+  // Each author's projection is exactly its seqs 0..199 in send order (the
+  // cross-author interleaving is TCP-timing dependent, so only per-author
+  // projections are deterministic).
+  u32 next[2] = {0, 0};
+  for (const auto& [author, seq] : delivered) {
+    ASSERT_LT(author, 2u);
+    EXPECT_EQ(seq, next[author]);
+    next[author] = seq + 1;
+  }
+  EXPECT_EQ(next[0], kPerAuthor);
+  EXPECT_EQ(next[1], kPerAuthor);
 }
 
-TEST(TransportParity, SameDeliveredSequencesUnderEveryBackend) {
-  const auto backends = available_backends();
-  std::vector<std::vector<std::pair<u32, u32>>> runs;
-  for (const LoopBackend backend : backends) runs.push_back(delivered_sequence(backend));
-  for (const auto& run : runs) {
-    // Per-author FIFO: each author's seqs arrive in order...
-    u32 next[2] = {0, 0};
-    for (const auto& [author, seq] : run) {
-      ASSERT_LT(author, 2u);
-      EXPECT_EQ(seq, next[author]);
-      next[author] = seq + 1;
-    }
-  }
-  // ...and every backend delivered the complete workload. Together with
-  // per-author FIFO this pins the parity claim the transport makes: each
-  // author's delivered subsequence is identical under every backend (the
-  // cross-author interleaving is TCP-timing dependent on any backend, so
-  // only the per-author projections are deterministic).
-  for (usize i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].size(), runs[0].size());
-  }
-}
-
-/// Full ABD parity: the same append workload must converge to the same
-/// final view under every backend.
-std::vector<mp::SignedAppend> final_view(LoopBackend backend) {
-  BackendCluster cluster(3, backend);
+TEST(TransportDelivery, FinalAbdViewHoldsExactlyTheAppendedRecords) {
+  LoopbackCluster cluster(3);
   cluster.connect_all();
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {
@@ -367,101 +368,99 @@ std::vector<mp::SignedAppend> final_view(LoopBackend backend) {
   for (u32 v = 0; v < kAppends; ++v) {
     nodes[v % 2]->begin_append(static_cast<i64>(v), [&] { ++completed; });
   }
-  EXPECT_TRUE(cluster.pump_until([&] { return completed == kAppends; }));
-  std::vector<mp::SignedAppend> result;
+  ASSERT_TRUE(cluster.pump_until([&] { return completed == kAppends; }));
+  std::vector<mp::SignedAppend> view;
   bool read_done = false;
-  nodes[2]->begin_read([&](const std::vector<mp::SignedAppend>& view) {
-    result = view;
+  nodes[2]->begin_read([&](const std::vector<mp::SignedAppend>& v) {
+    view = v;
     read_done = true;
   });
-  EXPECT_TRUE(cluster.pump_until([&] { return read_done; }));
-  return result;
-}
+  ASSERT_TRUE(cluster.pump_until([&] { return read_done; }));
 
-TEST(TransportParity, SameFinalAbdViewUnderEveryBackend) {
-  const auto backends = available_backends();
-  std::vector<std::vector<mp::SignedAppend>> views;
-  for (const LoopBackend backend : backends) views.push_back(final_view(backend));
-  for (const auto& view : views) ASSERT_EQ(view.size(), 32u);
-  for (usize i = 1; i < views.size(); ++i) {
-    ASSERT_EQ(views[i].size(), views[0].size());
-    for (usize r = 0; r < views[0].size(); ++r) {
-      EXPECT_EQ(views[i][r], views[0][r]) << "record " << r << " differs between "
-                                          << "backends";
-    }
+  // Append v went to author v % 2 as that author's (v / 2)-th record.
+  std::vector<mp::SignedAppend> expected;
+  for (u32 v = 0; v < kAppends; ++v) {
+    mp::SignedAppend rec;
+    rec.author = NodeId{v % 2};
+    rec.seq = v / 2;
+    rec.value = static_cast<i64>(v);
+    expected.push_back(rec);
   }
+  const auto by_author_seq = [](const mp::SignedAppend& a, const mp::SignedAppend& b) {
+    return std::pair{a.author.index, a.seq} < std::pair{b.author.index, b.seq};
+  };
+  std::sort(expected.begin(), expected.end(), by_author_seq);
+  std::sort(view.begin(), view.end(), by_author_seq);
+  EXPECT_EQ(view, expected);
 }
 
 TEST(TransportBackpressure, SlowReaderHitsWatermarkAndResumes) {
-  for (const LoopBackend backend : available_backends()) {
-    // Tight watermarks so a non-polling receiver trips them quickly.
-    constexpr usize kHigh = 256u << 10;
-    constexpr usize kLow = 64u << 10;
-    BackendCluster cluster(2, backend, /*seed=*/1, kHigh, kLow);
-    cluster.transports[0]->connect_peers();  // only 0 dials; 1 never polls yet
+  // Tight watermarks so a non-polling receiver trips them quickly.
+  constexpr usize kHigh = 256u << 10;
+  constexpr usize kLow = 64u << 10;
+  LoopbackCluster cluster(2, /*seed=*/1, kHigh, kLow);
+  cluster.transports[0]->connect_peers();  // only 0 dials; 1 never polls yet
 
-    // Pump only the sender: the receiver's TCP handshake completes in the
-    // kernel via the listen backlog, but no byte is ever read, so the
-    // socket buffers and then the sender's session queue fill up.
-    const auto pump_sender = [&](const std::function<bool()>& done,
-                                 std::chrono::milliseconds budget) {
-      const auto deadline = std::chrono::steady_clock::now() + budget;
-      while (std::chrono::steady_clock::now() < deadline) {
-        cluster.transports[0]->poll_once(1ms);
-        if (done()) return true;
-      }
-      return done();
-    };
-    ASSERT_TRUE(pump_sender(
-        [&] { return cluster.transports[0]->connected_outbound() == 1; }, 2000ms));
-
-    // ~28 KB per message: a few hundred overwhelm the socket buffers of a
-    // receiver that never drains, pushing the session over the watermark.
-    mp::WireMessage big;
-    big.kind = mp::WireMessage::Kind::kReadReply;
-    big.read_id = 1;
-    for (u32 r = 0; r < 1000; ++r) {
-      mp::SignedAppend rec;
-      rec.author = NodeId{0};
-      rec.seq = r;
-      rec.value = static_cast<i64>(r);
-      rec.sig = cluster.keys.sign(NodeId{0}, rec.digest());
-      big.view.push_back(rec);
+  // Pump only the sender: the receiver's TCP handshake completes in the
+  // kernel via the listen backlog, but no byte is ever read, so the
+  // socket buffers and then the sender's session queue fill up.
+  const auto pump_sender = [&](const std::function<bool()>& done,
+                               std::chrono::milliseconds budget) {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (std::chrono::steady_clock::now() < deadline) {
+      cluster.transports[0]->poll_once(1ms);
+      if (done()) return true;
     }
-    const usize frame_bytes = big.wire_size() + kFrameHeaderBytes + 1;
-    constexpr u32 kMessages = 300;
-    u64 attempted = 0;
-    for (u32 m = 0; m < kMessages; ++m) {
-      cluster.transports[0]->send(NodeId{0}, NodeId{1}, big);
-      ++attempted;
-      cluster.transports[0]->poll_once(0ms);
-      if (cluster.transports[0]->backpressure_drops() > 0) break;
-    }
-    EXPECT_GT(cluster.transports[0]->backpressure_drops(), 0u) << "backend "
-        << cluster.transports[0]->backend_name();
-    EXPECT_TRUE(cluster.transports[0]->outbound_paused(NodeId{1}));
-    // Memory stays bounded: the queue never exceeds the high watermark by
-    // more than the single frame that crossed it.
-    EXPECT_LE(cluster.transports[0]->outbound_queued_bytes(NodeId{1}), kHigh + frame_bytes);
+    return done();
+  };
+  ASSERT_TRUE(pump_sender(
+      [&] { return cluster.transports[0]->connected_outbound() == 1; }, 2000ms));
 
-    // The receiver wakes up: the queue drains below the low watermark and
-    // replication resumes; every message that was not shed arrives intact.
-    const u64 sent = attempted - cluster.transports[0]->backpressure_drops();
-    const std::vector<u8> sent_bytes = encode_message(big);
-    u64 delivered = 0;
-    cluster.transports[1]->attach(NodeId{1}, [&](NodeId, const mp::WireMessage& msg) {
-      if (encode_message(msg) == sent_bytes) ++delivered;
-    });
-    ASSERT_TRUE(cluster.pump_until(
-        [&] {
-          return cluster.transports[0]->outbound_queued_bytes(NodeId{1}) == 0 &&
-                 delivered == sent;
-        },
-        10000ms));
-    EXPECT_FALSE(cluster.transports[0]->outbound_paused(NodeId{1}));
-    EXPECT_GT(delivered, 0u);
-    EXPECT_EQ(delivered, sent);
+  // ~28 KB per message: a few hundred overwhelm the socket buffers of a
+  // receiver that never drains, pushing the session over the watermark.
+  mp::WireMessage big;
+  big.kind = mp::WireMessage::Kind::kReadReply;
+  big.read_id = 1;
+  for (u32 r = 0; r < 1000; ++r) {
+    mp::SignedAppend rec;
+    rec.author = NodeId{0};
+    rec.seq = r;
+    rec.value = static_cast<i64>(r);
+    rec.sig = cluster.keys.sign(NodeId{0}, rec.digest());
+    big.view.push_back(rec);
   }
+  const usize frame_bytes = big.wire_size() + kFrameHeaderBytes + 1;
+  constexpr u32 kMessages = 300;
+  u64 attempted = 0;
+  for (u32 m = 0; m < kMessages; ++m) {
+    cluster.transports[0]->send(NodeId{0}, NodeId{1}, big);
+    ++attempted;
+    cluster.transports[0]->poll_once(0ms);
+    if (cluster.transports[0]->backpressure_drops() > 0) break;
+  }
+  EXPECT_GT(cluster.transports[0]->backpressure_drops(), 0u);
+  EXPECT_TRUE(cluster.transports[0]->outbound_paused(NodeId{1}));
+  // Memory stays bounded: the queue never exceeds the high watermark by
+  // more than the single frame that crossed it.
+  EXPECT_LE(cluster.transports[0]->outbound_queued_bytes(NodeId{1}), kHigh + frame_bytes);
+
+  // The receiver wakes up: the queue drains below the low watermark and
+  // replication resumes; every message that was not shed arrives intact.
+  const u64 sent = attempted - cluster.transports[0]->backpressure_drops();
+  const std::vector<u8> sent_bytes = encode_message(big);
+  u64 delivered = 0;
+  cluster.transports[1]->attach(NodeId{1}, [&](NodeId, const mp::WireMessage& msg) {
+    if (encode_message(msg) == sent_bytes) ++delivered;
+  });
+  ASSERT_TRUE(cluster.pump_until(
+      [&] {
+        return cluster.transports[0]->outbound_queued_bytes(NodeId{1}) == 0 &&
+               delivered == sent;
+      },
+      10000ms));
+  EXPECT_FALSE(cluster.transports[0]->outbound_paused(NodeId{1}));
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(delivered, sent);
 }
 
 TEST(TransportTeardown, KickFromCtlHandlerMidDispatchIsSafe) {
@@ -470,74 +469,71 @@ TEST(TransportTeardown, KickFromCtlHandlerMidDispatchIsSafe) {
   // registered with the loop. Stale registrations would poison fd reuse
   // (EPOLL_CTL_ADD -> EEXIST => dead links); post-kick liveness proves
   // the teardown unregistered everything.
-  for (const LoopBackend backend : available_backends()) {
-    BackendCluster cluster(2, backend);
-    cluster.connect_all();
-    std::vector<std::unique_ptr<mp::AbdNode>> nodes;
-    for (u32 i = 0; i < 2; ++i) {
-      nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
-                                                    cluster.keys));
-    }
-    u64 ctl_replies = 0;
-    cluster.transports[0]->set_ctl_handler([&](u64 session, const CtlRequest& req) {
-      cluster.transports[0]->kick_outbound();  // closes sessions mid-dispatch
-      CtlReply reply;
-      reply.op = req.op;
-      reply.ok = true;
-      cluster.transports[0]->send_ctl_reply(session, reply);
-      ++ctl_replies;
-    });
-    ASSERT_TRUE(cluster.pump_until(
-        [&] { return cluster.transports[0]->connected_outbound() == 1; }, 2000ms));
-
-    // A raw ctl client (like amm_ctl) delivers the kick request.
-    SocketPair unused;  // keep fd numbers moving so reuse is exercised
-    const int client = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(client, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(cluster.transports[0]->listen_port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-    std::vector<u8> frame;
-    CtlRequest req;
-    req.op = CtlOp::kKick;
-    append_frame(frame, FrameKind::kCtlReq, encode_ctl_request(req));
-    ASSERT_EQ(::send(client, frame.data(), frame.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(frame.size()));
-
-    ASSERT_TRUE(cluster.pump_until([&] { return ctl_replies == 1; }, 2000ms));
-    // The ctl reply still arrives (ctl frames cut ahead; the ctl session
-    // survived the kick), and the kicked links come back up.
-    std::vector<u8> reply_bytes;
-    u8 chunk[4096];
-    ASSERT_TRUE(cluster.pump_until([&] {
-      const ssize_t n = ::recv(client, chunk, sizeof(chunk), MSG_DONTWAIT);
-      if (n > 0) reply_bytes.insert(reply_bytes.end(), chunk, chunk + n);
-      return !reply_bytes.empty();
-    }, 2000ms));
-    Frame reply_frame;
-    ASSERT_EQ(extract_frame(reply_bytes, &reply_frame), FrameStatus::kFrame);
-    EXPECT_EQ(reply_frame.kind, FrameKind::kCtlRep);
-    ::close(client);
-
-    ASSERT_TRUE(cluster.pump_until([&] {
-      return cluster.transports[0]->connected_outbound() == 1 &&
-             cluster.transports[1]->connected_outbound() == 1;
-    }, 3000ms));
-    // Liveness after the mid-dispatch teardown: a quorum append completes.
-    bool append_done = false;
-    nodes[0]->begin_append(11, [&] { append_done = true; });
-    EXPECT_TRUE(cluster.pump_until([&] { return append_done; }))
-        << "backend " << cluster.transports[0]->backend_name();
-    EXPECT_GE(cluster.transports[0]->reconnects(), 1u);
+  LoopbackCluster cluster(2);
+  cluster.connect_all();
+  std::vector<std::unique_ptr<mp::AbdNode>> nodes;
+  for (u32 i = 0; i < 2; ++i) {
+    nodes.push_back(std::make_unique<mp::AbdNode>(NodeId{i}, *cluster.transports[i],
+                                                  cluster.keys));
   }
+  u64 ctl_replies = 0;
+  cluster.transports[0]->set_ctl_handler([&](u64 session, const CtlRequest& req) {
+    cluster.transports[0]->kick_outbound();  // closes sessions mid-dispatch
+    CtlReply reply;
+    reply.op = req.op;
+    reply.ok = true;
+    cluster.transports[0]->send_ctl_reply(session, reply);
+    ++ctl_replies;
+  });
+  ASSERT_TRUE(cluster.pump_until(
+      [&] { return cluster.transports[0]->connected_outbound() == 1; }, 2000ms));
+
+  // A raw ctl client (like amm_ctl) delivers the kick request.
+  SocketPair unused;  // keep fd numbers moving so reuse is exercised
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(cluster.transports[0]->listen_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  std::vector<u8> frame;
+  CtlRequest req;
+  req.op = CtlOp::kKick;
+  append_frame(frame, FrameKind::kCtlReq, encode_ctl_request(req));
+  ASSERT_EQ(::send(client, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+
+  ASSERT_TRUE(cluster.pump_until([&] { return ctl_replies == 1; }, 2000ms));
+  // The ctl reply still arrives (ctl frames cut ahead; the ctl session
+  // survived the kick), and the kicked links come back up.
+  std::vector<u8> reply_bytes;
+  u8 chunk[4096];
+  ASSERT_TRUE(cluster.pump_until([&] {
+    const ssize_t n = ::recv(client, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n > 0) reply_bytes.insert(reply_bytes.end(), chunk, chunk + n);
+    return !reply_bytes.empty();
+  }, 2000ms));
+  Frame reply_frame;
+  ASSERT_EQ(extract_frame(reply_bytes, &reply_frame), FrameStatus::kFrame);
+  EXPECT_EQ(reply_frame.kind, FrameKind::kCtlRep);
+  ::close(client);
+
+  ASSERT_TRUE(cluster.pump_until([&] {
+    return cluster.transports[0]->connected_outbound() == 1 &&
+           cluster.transports[1]->connected_outbound() == 1;
+  }, 3000ms));
+  // Liveness after the mid-dispatch teardown: a quorum append completes.
+  bool append_done = false;
+  nodes[0]->begin_append(11, [&] { append_done = true; });
+  EXPECT_TRUE(cluster.pump_until([&] { return append_done; }));
+  EXPECT_GE(cluster.transports[0]->reconnects(), 1u);
 }
 
 TEST(TransportBatching, WritevCoalescesFrames) {
   // The counters prove the batch path actually engages: writev_calls grows
   // far slower than frames sent.
-  BackendCluster cluster(3, LoopBackend::kAuto);
+  LoopbackCluster cluster(3);
   cluster.connect_all();
   std::vector<std::unique_ptr<mp::AbdNode>> nodes;
   for (u32 i = 0; i < 3; ++i) {

@@ -3,7 +3,6 @@
 // rule (§5.3, Algorithm 6) served over the control plane.
 //
 //   amm_node --id I --n N [--seed S] [--host 127.0.0.1] [--base-port 9500]
-//            [--backend auto|poll|epoll]
 //            [--high-watermark BYTES] [--low-watermark BYTES]
 //            [--compact off|retain|summary] [--compact-lag L]
 //            [--store-dir D] [--fsync never|interval|always]
@@ -40,8 +39,10 @@
 // result, not local state.
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <string>
 
@@ -134,7 +135,6 @@ int main(int argc, char** argv) {
   crypto::KeyRegistry keys(n, seed);
   net::TransportConfig config;
   config.self = NodeId{id};
-  config.backend = net::parse_loop_backend(cli.backend);
   for (u32 i = 0; i < n; ++i) {
     config.peers.push_back(net::Endpoint{host, static_cast<u16>(base_port + i)});
   }
@@ -142,8 +142,8 @@ int main(int argc, char** argv) {
   config.outbound_low_watermark = static_cast<usize>(cli.low_watermark);
   net::TcpTransport transport(config, keys, Rng::for_stream(seed, 0x6e6f6465 + id));
   if (!transport.start()) {
-    std::fprintf(stderr, "amm_node: cannot listen on %s:%u\n", host.c_str(),
-                 static_cast<unsigned>(base_port + id));
+    std::fprintf(stderr, "amm_node: cannot listen on %s:%u: %s\n", host.c_str(),
+                 static_cast<unsigned>(base_port + id), std::strerror(errno));
     return 2;
   }
 
@@ -273,8 +273,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::printf("amm_node: id=%u n=%u backend=%s listening on %s:%u\n", id, n,
-              transport.backend_name(), host.c_str(),
+  std::printf("amm_node: id=%u n=%u listening on %s:%u\n", id, n, host.c_str(),
               static_cast<unsigned>(transport.listen_port()));
   std::fflush(stdout);
   if (store != nullptr) {

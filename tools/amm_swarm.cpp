@@ -2,8 +2,7 @@
 //
 //   amm_swarm --n N [--host 127.0.0.1] [--base-port 9500 | --ports "p0,p1,.."]
 //             [--scale "8,32,128,512"] [--appends 50] [--window 4]
-//             [--idle 0] [--label epoll] [--client-loop auto|poll|epoll]
-//             [--csv] [--json FILE]
+//             [--idle 0] [--csv] [--json FILE]
 //
 // Each rung of --scale opens that many concurrent control-plane
 // connections (spread round-robin across the cluster's nodes) and drives
@@ -19,14 +18,12 @@
 // them and must keep watching their fds while only the writers ever
 // become ready — the high-fanout regime of the paper, where a node
 // serves a large, mostly quiescent peer population. This is where
-// O(ready) readiness (epoll) and O(watched) scanning (poll) diverge;
-// with --idle 0 every watched fd is hot and the backends tie.
+// O(ready) readiness (epoll) pays off against O(watched) scanning (poll).
 //
-// The swarm itself runs on a net::EventLoop (the same seam the server
-// reactor uses) so the *client* never becomes the O(n) bottleneck the
-// benchmark exists to measure; --label is echoed into the result table so
-// a harness driving the same swarm against servers with different
-// backends (tools/swarm_smoke.py) produces distinguishable rows.
+// The swarm itself runs on a net::EventLoop (the epoll reactor the server
+// uses) so the *client* never becomes the O(n) bottleneck the benchmark
+// exists to measure. A rung whose loop cannot be created (descriptors
+// exhausted) fails with a message.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <arpa/inet.h>
@@ -121,10 +118,11 @@ std::optional<std::vector<u64>> parse_list(const std::string& list, u64 max) {
 }
 
 /// The node ports: --ports when given, else base-port + i for i < n;
-/// nullopt when that is malformed or empty.
+/// nullopt when that is malformed, empty, or runs past port 65535.
 std::optional<std::vector<u16>> parse_ports(const std::string& list, u16 base_port, u32 n) {
   std::vector<u16> ports;
   if (list.empty()) {
+    if (u64{base_port} + n > 65536) return std::nullopt;
     for (u32 i = 0; i < n; ++i) ports.push_back(static_cast<u16>(base_port + i));
   } else if (const auto given = parse_list(list, 0xffff)) {
     for (const u64 p : *given) ports.push_back(static_cast<u16>(p));
@@ -266,15 +264,15 @@ std::optional<mp::NodeStats> fetch_stats(const std::string& host, u16 port) {
   }
 }
 
-RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
-                    const std::vector<u16>& ports, usize writers, u32 appends, u32 window,
-                    usize idle) {
+RungResult run_rung(const std::string& host, const std::vector<u16>& ports, usize writers,
+                    u32 appends, u32 window, usize idle) {
   RungResult result;
   result.writers = writers;
   result.idle = idle;
-  const auto loop = net::EventLoop::make(client_backend);
-  if (!loop) {
-    std::fprintf(stderr, "amm_swarm: requested client loop backend unavailable\n");
+  net::EventLoop loop;
+  if (!loop.ok()) {
+    std::fprintf(stderr, "amm_swarm: cannot create the event loop: %s\n",
+                 std::strerror(loop.open_error()));
     return result;
   }
 
@@ -304,10 +302,10 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
       if (!flush_conn(conn)) return result;
       conn.interest =
           net::EventLoop::kRead | (conn.tx_off < conn.tx.size() ? net::EventLoop::kWrite : 0);
-      loop->add(conn.fd, i, conn.interest);
+      loop.add(conn.fd, i, conn.interest);
     } else if (errno == EINPROGRESS) {
       conn.interest = net::EventLoop::kWrite;
-      loop->add(conn.fd, i, conn.interest);
+      loop.add(conn.fd, i, conn.interest);
     } else {
       return result;
     }
@@ -324,7 +322,7 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
                    completed, writers);
       break;
     }
-    loop->wait(std::chrono::milliseconds(100), &events);
+    loop.wait(std::chrono::milliseconds(100), &events);
     for (const net::ReadyEvent& event : events) {
       Conn& conn = conns[event.token];
       if (conn.fd < 0 || conn.failed) continue;
@@ -343,7 +341,7 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
           conn.failed = true;
           continue;
         }
-        sync_interest(*loop, conn, event.token);
+        sync_interest(loop, conn, event.token);
         continue;
       }
       if (event.error && !event.readable) {
@@ -396,7 +394,7 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
           continue;
         }
         if (conn.done >= appends) {
-          loop->remove(conn.fd);
+          loop.remove(conn.fd);
           ::close(conn.fd);
           conn.fd = -1;
           ++completed;
@@ -407,12 +405,12 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
         conn.failed = true;
         continue;
       }
-      if (conn.fd >= 0) sync_interest(*loop, conn, event.token);
+      if (conn.fd >= 0) sync_interest(loop, conn, event.token);
     }
     for (Conn& conn : conns) {
       if (conn.failed && conn.fd >= 0) {
         std::fprintf(stderr, "amm_swarm: connection failed mid-rung\n");
-        loop->remove(conn.fd);
+        loop.remove(conn.fd);
         ::close(conn.fd);
         conn.fd = -1;
       }
@@ -423,7 +421,7 @@ RungResult run_rung(net::LoopBackend client_backend, const std::string& host,
 
   for (Conn& conn : conns) {
     if (conn.fd >= 0) {
-      loop->remove(conn.fd);
+      loop.remove(conn.fd);
       ::close(conn.fd);
       conn.fd = -1;
     }
@@ -465,8 +463,6 @@ int main(int argc, char** argv) {
   u32 appends = 50;
   u32 window = 4;
   u64 idle_count = 0;
-  std::string label = "default";
-  std::string client_loop = "auto";
   exp::Harness harness(
       argc, argv, "amm_swarm: client-swarm append throughput", 1, [&](OptionSet& opts) {
         opts.add_u32("n", &n, "number of cluster nodes to spread connections over");
@@ -478,18 +474,15 @@ int main(int argc, char** argv) {
         opts.add_u32("appends", &appends, "appends per connection", {1});
         opts.add_u32("window", &window, "appends in flight per connection", {1});
         opts.add_u64("idle", &idle_count, "standing never-written connections held for the run");
-        opts.add_string("label", &label, "label echoed into result rows");
-        opts.add_enum("client-loop", &client_loop, {"auto", "poll", "epoll"},
-                      "swarm-side event loop");
         opts.require([&] { return parse_ports(ports_list, base_port, n).has_value(); },
-                     "need --n >= 1 or a --ports list of port numbers");
+                     "need --n >= 1 with --base-port + --n - 1 <= 65535, or a --ports "
+                     "list of port numbers");
         opts.require([&] { return parse_list(scale_list, ~u64{0}).has_value(); },
                      "need a --scale list of writer counts");
       });
   const std::vector<u16> ports = *parse_ports(ports_list, base_port, n);
   const std::vector<usize> scale = *parse_list(scale_list, ~u64{0});
   const usize idle = static_cast<usize>(idle_count);
-  const net::LoopBackend client_backend = net::parse_loop_backend(client_loop);
 
   // The idle population stands for the whole run: every rung then measures
   // a server that is already watching `idle` quiescent sessions, and rungs
@@ -497,13 +490,13 @@ int main(int argc, char** argv) {
   const IdleSet idle_conns = open_idle(host, ports, idle);
 
   Table table({"writers", "idle", "appends", "wall [ms]", "appends/sec", "p50 [us]",
-               "p99 [us]", "label"});
+               "p99 [us]"});
   bool all_ok = true;
   for (const usize writers : scale) {
-    const RungResult r = run_rung(client_backend, host, ports, writers, appends, window, idle);
+    const RungResult r = run_rung(host, ports, writers, appends, window, idle);
     all_ok = all_ok && r.ok;
     table.add_row({std::to_string(r.writers), std::to_string(r.idle), std::to_string(r.appends),
-                   fmt(r.wall_ms, 1), fmt(r.rate, 0), fmt(r.p50_us, 0), fmt(r.p99_us, 0), label});
+                   fmt(r.wall_ms, 1), fmt(r.rate, 0), fmt(r.p50_us, 0), fmt(r.p99_us, 0)});
     if (!r.ok) {
       std::fprintf(stderr, "amm_swarm: rung writers=%zu incomplete (%llu appends acked)\n",
                    writers, static_cast<unsigned long long>(r.appends));
@@ -516,7 +509,7 @@ int main(int argc, char** argv) {
   // compaction off live == history on every node; in summary mode live is
   // the suffix the checkpoint has not folded. Skipped silently if a node
   // is unreachable (the rung results above already failed in that case).
-  Table memory({"node", "live [records]", "folded", "rss [KB]", "label"});
+  Table memory({"node", "live [records]", "folded", "rss [KB]"});
   bool have_stats = !ports.empty();
   for (usize i = 0; i < ports.size() && have_stats; ++i) {
     const std::optional<mp::NodeStats> stats = fetch_stats(host, ports[i]);
@@ -525,8 +518,7 @@ int main(int argc, char** argv) {
       break;
     }
     memory.add_row({std::to_string(i), std::to_string(stats->live_records),
-                    std::to_string(stats->records_folded), std::to_string(stats->rss_kb),
-                    label});
+                    std::to_string(stats->records_folded), std::to_string(stats->rss_kb)});
   }
   if (have_stats) harness.emit(memory, "per-node resident record state after the run");
   return all_ok ? 0 : 1;

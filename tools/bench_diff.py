@@ -172,8 +172,8 @@ def self_test() -> None:
                     "tables": [{
                         "caption": "ladder",
                         "table": {
-                            "headers": ["writers", "appends/sec", "label"],
-                            "rows": [["8", f"{1000.0 / ms}", "epoll"]],
+                            "headers": ["writers", "idle", "appends/sec"],
+                            "rows": [["8", "6000", f"{1000.0 / ms}"]],
                         },
                     }],
                 },
@@ -188,7 +188,7 @@ def self_test() -> None:
             "mode=summary,history=1000 :: rss [KB]") in base, base
     assert ("cluster_mem_soak :: resident memory vs history :: "
             "mode=summary,history=1000 :: live [records]") in base, base
-    rate_key = "amm_swarm :: ladder :: writers=8,label=epoll :: appends/sec"
+    rate_key = "amm_swarm :: ladder :: writers=8,idle=6000 :: appends/sec"
     assert base_rates == {rate_key}, base_rates
 
     _, same = compare(base, extract_metrics(doc(1.0))[0], threshold=1.5, rate_keys=base_rates)
@@ -246,8 +246,9 @@ def main() -> None:
     cur_doc = json.loads(args.current.read_text())
     for doc, path in ((base_doc, args.baseline), (cur_doc, args.current)):
         sha = doc.get("git_sha", "unknown")[:12]
+        dirty = {True: "yes", False: "no"}.get(doc.get("git_dirty"), "unknown")
         bt = doc.get("build_type", "unknown")
-        print(f"[bench_diff] {path}: sha={sha} build={bt}")
+        print(f"[bench_diff] {path}: sha={sha} dirty={dirty} build={bt}")
 
     base_metrics, base_rates = extract_metrics(base_doc)
     cur_metrics, cur_rates = extract_metrics(cur_doc)

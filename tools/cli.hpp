@@ -29,7 +29,6 @@ struct NodeConfig {
   u64 seed = 20200715;
   std::string host = "127.0.0.1";
   u16 base_port = 9500;
-  std::string backend = "auto";  // event loop: auto|poll|epoll
   u64 high_watermark = 0;  ///< caller seeds from net::TransportConfig
   u64 low_watermark = 0;   ///< caller seeds from net::TransportConfig
   std::string compact = "off";  // off|retain|summary
@@ -49,7 +48,6 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_u64("seed", &cfg->seed, "KeyRegistry master seed");
   opts.add_string("host", &cfg->host, "listen/dial host");
   opts.add_u16("base-port", &cfg->base_port, "node i listens on base-port+i");
-  opts.add_enum("backend", &cfg->backend, {"auto", "poll", "epoll"}, "event-loop backend");
   opts.add_u64("high-watermark", &cfg->high_watermark,
                "per-peer outbound backpressure high watermark, bytes");
   opts.add_u64("low-watermark", &cfg->low_watermark,
@@ -67,6 +65,10 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
   opts.add_u32("snapshot-interval", &cfg->snapshot_interval,
                "admissions between automatic snapshots (0 = never)");
   opts.add_u64("segment-bytes", &cfg->segment_bytes, "roll log segments beyond this size");
+  opts.require([cfg] { return cfg->low_watermark <= cfg->high_watermark; },
+               "need --low-watermark <= --high-watermark");
+  opts.require([cfg] { return u64{cfg->base_port} + cfg->n <= 65536; },
+               "need --base-port + --n - 1 <= 65535 (node ports must not wrap)");
 }
 
 }  // namespace amm::tools

@@ -14,8 +14,9 @@ This driver runs whichever of them are present (or aggregates pre-existing
 per-binary JSON files from a directory) and merges everything into one file
 — by convention BENCH_sim.json, the committed perf baseline that
 tools/bench_diff.py compares future runs against. The header records the
-git SHA and CMake build type the numbers were produced from, so a diff
-against a mismatched build is detectable.
+git SHA, whether tracked files differed from it (git_dirty), and the CMake
+build type the numbers were produced from, so a diff against a mismatched
+build is detectable.
 
 Standalone documents produced outside the bench/ binaries — e.g.
 tools/cluster_test.py --json — fold in via --extra NAME=FILE; they merge
@@ -42,16 +43,13 @@ from pathlib import Path
 MICRO_PREFIXES = ("bench_memory", "bench_chain", "bench_sim")
 
 
-def git_sha(repo_root: Path) -> str:
+def git(repo_root: Path, *args: str) -> str | None:
+    """Stripped stdout of `git <args>` in repo_root; None outside a checkout."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=repo_root, capture_output=True, timeout=10
-        )
-        if out.returncode == 0:
-            return out.stdout.decode().strip()
+        out = subprocess.run(["git", *args], cwd=repo_root, capture_output=True, timeout=10)
     except OSError:
-        pass
-    return "unknown"
+        return None
+    return out.stdout.decode().strip() if out.returncode == 0 else None
 
 
 def build_type(build_dir: Path) -> str:
@@ -140,16 +138,20 @@ def main() -> None:
             sys.exit(f"error: --extra expects NAME=FILE, got {spec!r}")
         docs[name] = json.loads(Path(path).read_text())
 
+    repo_root = Path(__file__).resolve().parent.parent
+    status = git(repo_root, "status", "--porcelain", "--untracked-files=no")
     merged = {
         "generated_by": "tools/collect_bench.py",
-        "git_sha": git_sha(Path(__file__).resolve().parent.parent),
+        "git_sha": git(repo_root, "rev-parse", "HEAD") or "unknown",
+        "git_dirty": None if status is None else status != "",
         "build_type": build_type(args.build_dir) if not args.from_dir else "unknown",
         "experiments": {name: docs[name] for name in sorted(docs)},
     }
     args.out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     total_tables = sum(len(d.get("tables", [])) for d in docs.values())
     print(f"[collect_bench] wrote {args.out}: {len(docs)} binaries, {total_tables} tables "
-          f"(sha={merged['git_sha'][:12]}, build={merged['build_type']})")
+          f"(sha={merged['git_sha'][:12]}, dirty={merged['git_dirty']}, "
+          f"build={merged['build_type']})")
 
 
 if __name__ == "__main__":

@@ -11,16 +11,6 @@ reproduction depends on (docs/ANALYSIS.md):
   banned-sleep      no wall-clock sleeps in src/ or tools/ — simulated
                     time (or the transport's poll deadline) is the only
                     clock; a sleep makes results machine-dependent.
-  unordered-iter    no range-for iteration over std::unordered_* containers
-                    in src/ or tools/ — their order is
-                    implementation-defined, so any protocol decision fed
-                    from it is nondeterministic. SUPERSEDED by the AST-level
-                    `determinism-taint` rule of tools/analyze/amm_analyze.py
-                    (which also catches iterator loops, algorithms and
-                    aliases); the regex path is kept behind --no-ast for
-                    machines that cannot run the analyzer. Suppress a
-                    deliberate order-insensitive fold with
-                    `// lint:allow(unordered-iter)` on the loop line.
   pragma-once       every header under src/, tools/, bench/ or tests/
                     starts with `#pragma once` before its first #include.
   include-order     within a file, system includes (<...>) precede project
@@ -28,6 +18,9 @@ reproduction depends on (docs/ANALYSIS.md):
                     and a *_test.cpp with the header under test.
   no-artifacts      no build artifacts tracked by git (build*/, *.o,
                     CMakeCache.txt, CMakeFiles/, CTest Testing/).
+
+Iteration over unordered containers is checked by the AST-level
+`determinism-taint` rule of tools/analyze/amm_analyze.py, not here.
 
 Exit status: 0 = clean, 1 = violations found, 2 = usage error.
 `--self-test` runs the checker against seeded violations and known-clean
@@ -79,9 +72,6 @@ BANNED_SLEEP_PATTERNS = [
     (re.compile(r"(?<![\w.:])sleep\s*\(\s*\d"), "sleep() — simulated time only"),
 ]
 
-UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:flat_)?(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s+(?P<name>\w+)\s*(?:;|=|\{|\()"
-)
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?P<kind>[<"])(?P<target>[^>"]+)[>"]')
 
 ARTIFACT_RES = [
@@ -118,34 +108,6 @@ def check_banned_calls(path: str, lines: List[str]) -> Iterable[Violation]:
         for pattern, msg in BANNED_SLEEP_PATTERNS:
             if pattern.search(line) and not allowed(raw, "banned-sleep"):
                 yield Violation(path, i, "banned-sleep", msg)
-
-
-def check_unordered_iteration(path: str, lines: List[str]) -> Iterable[Violation]:
-    names = set()
-    for raw in lines:
-        m = UNORDERED_DECL_RE.search(strip_comment(raw))
-        if m:
-            names.add(m.group("name"))
-    if not names:
-        return
-    loop_res = [
-        re.compile(r"for\s*\([^;)]*:\s*\*?(?:this->)?(?P<name>\w+)\s*\)"),
-        re.compile(r"for\s*\([^;)]*:\s*\w+(?:\.|->)(?P<name>\w+)\s*\)"),
-    ]
-    for i, raw in enumerate(lines, 1):
-        line = strip_comment(raw)
-        for loop_re in loop_res:
-            m = loop_re.search(line)
-            if m and m.group("name") in names and not allowed(raw, "unordered-iter"):
-                yield Violation(
-                    path,
-                    i,
-                    "unordered-iter",
-                    f"range-for over unordered container '{m.group('name')}' — "
-                    "iteration order is implementation-defined; iterate a sorted "
-                    "or append-ordered copy, or mark an order-insensitive fold "
-                    "with // lint:allow(unordered-iter)",
-                )
 
 
 def check_pragma_once(path: str, lines: List[str]) -> Iterable[Violation]:
@@ -210,14 +172,13 @@ def check_no_artifacts(root: str) -> Iterable[Violation]:
 
 FILE_CHECKS = [
     check_banned_calls,
-    check_unordered_iteration,
     check_pragma_once,
     check_include_order,
 ]
 
 #: Hygiene-only checks applied to bench/ and tests/: benchmarks and tests
-#: legitimately do things production code may not (sleep in socket tests,
-#: iterate unordered state they just built), so only the layout rules apply.
+#: legitimately do things production code may not (sleep in socket tests),
+#: so only the layout rules apply.
 LAYOUT_CHECKS = [
     check_pragma_once,
     check_include_order,
@@ -252,13 +213,11 @@ def _walk_sources(root: str, top: str):
                 yield os.path.join(dirpath, fn)
 
 
-def lint_tree(root: str, *, regex_unordered: bool = False) -> List[Violation]:
-    checks = FILE_CHECKS if regex_unordered else \
-        [c for c in FILE_CHECKS if c is not check_unordered_iteration]
+def lint_tree(root: str) -> List[Violation]:
     violations: List[Violation] = []
     for top in LINT_DIRS:
         for full in _walk_sources(root, top):
-            violations.extend(lint_file(full, os.path.relpath(full, root), checks))
+            violations.extend(lint_file(full, os.path.relpath(full, root)))
     for top in LAYOUT_DIRS:
         for full in _walk_sources(root, top):
             violations.extend(lint_file(full, os.path.relpath(full, root), LAYOUT_CHECKS))
@@ -280,17 +239,6 @@ SELF_TEST_CASES = [
         "bad_sleep.cpp",
         "#include <thread>\nvoid f() { std::this_thread::sleep_for(std::chrono::seconds(1)); }\n",
         {"banned-sleep"},
-    ),
-    (
-        "bad_unordered.cpp",
-        "#include <unordered_map>\n"
-        "int f() {\n"
-        "  std::unordered_map<int, int> votes;\n"
-        "  int sum = 0;\n"
-        "  for (const auto& kv : votes) sum = sum * 31 + kv.second;\n"
-        "  return sum;\n"
-        "}\n",
-        {"unordered-iter"},
     ),
     (
         "bad_pragma.hpp",
@@ -326,17 +274,6 @@ SELF_TEST_CASES = [
         '#include "net/gadget.hpp"\n#include "support/types.hpp"\n#include <vector>\nint f();\n',
         {"include-order"},
     ),
-    (
-        "allowed.cpp",
-        "#include <unordered_set>\n"
-        "int f() {\n"
-        "  std::unordered_set<int> seen;\n"
-        "  int n = 0;\n"
-        "  for (int v : seen) n += v;  // lint:allow(unordered-iter)\n"
-        "  return n;\n"
-        "}\n",
-        set(),
-    ),
 ]
 
 
@@ -367,13 +304,6 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=".", help="repository root (default: cwd)")
     parser.add_argument("--self-test", action="store_true", help="verify the checker against seeded violations")
-    parser.add_argument(
-        "--no-ast",
-        action="store_true",
-        help="also run the regex unordered-iter rule (fallback for machines that "
-        "cannot run tools/analyze/amm_analyze.py, which supersedes it with the "
-        "AST-level determinism-taint rule)",
-    )
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -384,7 +314,7 @@ def main(argv: List[str]) -> int:
         print(f"lint_invariants: no src/ under {root}", file=sys.stderr)
         return 2
 
-    violations = lint_tree(root, regex_unordered=args.no_ast)
+    violations = lint_tree(root)
     for v in violations:
         print(v.render())
     if violations:

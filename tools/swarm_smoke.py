@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Drive amm_swarm against a real loopback cluster, once per reactor backend.
+"""Drive amm_swarm against a real loopback cluster.
 
-For each backend in --backends this script boots --n node clusters with
-``amm_node --backend <b>``, aims an amm_swarm rung ladder at them, and folds
-the swarm's result tables into one harness-style JSON document (the shape
-collect_bench.py ingests via --extra amm_swarm=FILE), captioned with the
-server backend so bench_diff.py keys epoll and poll rows separately.
+This script boots --n node clusters of ``amm_node``, aims an amm_swarm rung
+ladder at them, and folds the swarm's throughput table into one
+harness-style JSON document (the shape collect_bench.py ingests via
+--extra amm_swarm=FILE).
 
 Measurement controls (the committed BENCH_net.json baseline uses all three):
 
@@ -24,13 +23,13 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
 Exit status is nonzero if any swarm invocation fails (incomplete rung,
 unreachable cluster), making this a cheap end-to-end smoke for the whole
 high-fanout path: connect burst -> accept -> ctl append -> signature check
-and ABD quorum -> ctl reply, under both readiness backends.
+and ABD quorum -> ctl reply.
 
 Usage:
   tools/swarm_smoke.py --bin-dir build/tools [--n 3] [--scale 8,32]
                        [--appends 20 | --total-appends 25600] [--window 4]
                        [--idle 0] [--trials 1] [--fresh-cluster-per-rung]
-                       [--backends epoll,poll] [--json swarm.json]
+                       [--json swarm.json]
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from cluster_test import Cluster, ClusterError, log  # noqa: E402
 
 RATE_COLUMN = "appends/sec"
+CAPTION = "append throughput vs concurrent writers"
 
 
 def run_swarm(bin_dir: Path, cluster: Cluster, scale: str, appends: int,
-              window: int, idle: int, label: str) -> dict:
+              window: int, idle: int) -> dict:
     """Runs one amm_swarm invocation; returns its throughput table."""
     ports = ",".join(str(cluster.port(i)) for i in range(cluster.n))
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
@@ -57,12 +57,12 @@ def run_swarm(bin_dir: Path, cluster: Cluster, scale: str, appends: int,
     try:
         cmd = [str(bin_dir / "amm_swarm"), "--ports", ports, "--scale", scale,
                "--appends", str(appends), "--window", str(window),
-               "--idle", str(idle), "--label", label, "--json", str(out_json)]
+               "--idle", str(idle), "--json", str(out_json)]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
         sys.stdout.write(proc.stdout)
         if proc.returncode != 0:
             raise ClusterError(
-                f"amm_swarm (label={label}) -> exit {proc.returncode}: {proc.stderr.strip()}")
+                f"amm_swarm -> exit {proc.returncode}: {proc.stderr.strip()}")
         doc = json.loads(out_json.read_text())
         # amm_swarm emits the throughput ladder plus (when the post-run
         # stats probe succeeds) a per-node resident-memory table; the
@@ -90,13 +90,12 @@ def main() -> int:
     parser.add_argument("--window", type=int, default=4)
     parser.add_argument("--idle", type=int, default=0,
                         help="held-open quiescent connections per cluster (the "
-                             "high-fanout regime where epoll and poll diverge)")
+                             "high-fanout regime)")
     parser.add_argument("--trials", type=int, default=1,
                         help="runs per rung; the best appends/sec row is kept")
     parser.add_argument("--fresh-cluster-per-rung", action="store_true",
                         help="boot a new cluster per rung+trial (no cross-rung "
                              "history or idle-teardown contamination)")
-    parser.add_argument("--backends", default="epoll,poll")
     parser.add_argument("--json", type=Path, default=None,
                         help="write the merged harness document here")
     args = parser.parse_args()
@@ -111,62 +110,53 @@ def main() -> int:
             return max(1, args.total_appends // writers)
         return args.appends
 
-    tables: list[dict] = []
-    for backend in [b for b in args.backends.split(",") if b]:
-        log(f"server backend requested={backend}")
-        headers: list[str] | None = None
-        rows: list[list[str]] = []
+    headers: list[str] | None = None
 
-        def one_trial(cluster: Cluster, writers: int) -> list[list[str]]:
-            table = run_swarm(args.bin_dir, cluster, str(writers), appends_for(writers),
-                              args.window, args.idle, backend)
-            nonlocal headers
-            if headers is None:
-                headers = table["table"]["headers"]
-            return table["table"]["rows"]
+    def one_trial(cluster: Cluster, writers: int) -> list[list[str]]:
+        table = run_swarm(args.bin_dir, cluster, str(writers), appends_for(writers),
+                          args.window, args.idle)
+        nonlocal headers
+        if headers is None:
+            headers = table["table"]["headers"]
+        return table["table"]["rows"]
 
-        if args.fresh_cluster_per_rung:
-            # Sweep-major: each trial walks the whole ladder, then best-of
-            # is taken per rung across sweeps. Trial-major would let slow
-            # ambient drift masquerade as a rung-ordering effect (the last
-            # rung always measured on the most-drifted machine).
-            candidates: dict[int, list[list[str]]] = {w: [] for w in rungs}
-            for _ in range(args.trials):
-                for writers in rungs:
-                    cluster = Cluster(args.bin_dir, args.n, args.seed,
-                                      node_args=("--backend", backend))
-                    cluster.start()
-                    try:
-                        candidates[writers] += one_trial(cluster, writers)
-                    finally:
-                        cluster.stop_all()
-            rate = headers.index(RATE_COLUMN)
+    rows: list[list[str]] = []
+    if args.fresh_cluster_per_rung:
+        # Sweep-major: each trial walks the whole ladder, then best-of is
+        # taken per rung across sweeps. Trial-major would let slow ambient
+        # drift masquerade as a rung-ordering effect (the last rung always
+        # measured on the most-drifted machine).
+        candidates: dict[int, list[list[str]]] = {w: [] for w in rungs}
+        for _ in range(args.trials):
             for writers in rungs:
-                rows.append(max(candidates[writers], key=lambda r: float(r[rate])))
-        else:
-            cluster = Cluster(args.bin_dir, args.n, args.seed,
-                              node_args=("--backend", backend))
-            cluster.start()
-            try:
-                for writers in rungs:
-                    candidates = []
-                    for _ in range(args.trials):
-                        candidates += one_trial(cluster, writers)
-                    rate = headers.index(RATE_COLUMN)
-                    rows.append(max(candidates, key=lambda r: float(r[rate])))
-            finally:
-                cluster.stop_all()
+                cluster = Cluster(args.bin_dir, args.n, args.seed)
+                cluster.start()
+                try:
+                    candidates[writers] += one_trial(cluster, writers)
+                finally:
+                    cluster.stop_all()
+        rate = headers.index(RATE_COLUMN)
+        for writers in rungs:
+            rows.append(max(candidates[writers], key=lambda r: float(r[rate])))
+    else:
+        cluster = Cluster(args.bin_dir, args.n, args.seed)
+        cluster.start()
+        try:
+            for writers in rungs:
+                candidates = []
+                for _ in range(args.trials):
+                    candidates += one_trial(cluster, writers)
+                rate = headers.index(RATE_COLUMN)
+                rows.append(max(candidates, key=lambda r: float(r[rate])))
+        finally:
+            cluster.stop_all()
 
-        tables.append({
-            "caption": f"append throughput vs concurrent writers (server backend={backend})",
-            "table": {"headers": headers, "rows": rows},
-        })
-
-    doc = {"title": "amm_swarm client swarm (per server backend)", "tables": tables}
+    doc = {"title": "amm_swarm client swarm",
+           "tables": [{"caption": CAPTION, "table": {"headers": headers, "rows": rows}}]}
     if args.json:
         args.json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         log(f"wrote {args.json}")
-    log(f"swarm smoke OK across backends: {args.backends}")
+    log("swarm smoke OK")
     return 0
 
 
