@@ -1,6 +1,6 @@
 // Hot-path benchmark for the incremental append-memory machinery: graph
-// growth (extend vs from-scratch rebuild), append-time ordering (k-way
-// merge vs full sort vs incremental cursor) and the decision rules on the
+// growth (extend vs from-scratch rebuild), append-time ordering (the log
+// scan vs full sort vs incremental cursor) and the decision rules on the
 // final graph. Emits harness tables; `--json` output is aggregated into the
 // pinned BENCH_sim.json baseline by tools/collect_bench.py and compared by
 // tools/bench_diff.py.

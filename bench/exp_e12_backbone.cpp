@@ -12,6 +12,7 @@
 //    disagree on ~1-2 blocks at every rate; consistency damage requires
 //    the Byzantine tie-breaking of E5/E6.
 #include <iostream>
+#include <span>
 
 #include "chain/backbone.hpp"
 #include "exp/harness.hpp"
@@ -35,11 +36,11 @@ double measure_common_prefix(u32 n, double lambda, u64 seed) {
   for (int i = 0; i < 300; ++i) {
     const sched::Token token = authority.next();
     const chain::BlockGraph stale(memory.read_at(token.time - 1.0));
-    std::vector<am::MsgId> refs;
-    if (stale.block_count() > 0) {
-      refs.push_back(chain::choose_longest_tip(stale, chain::TieBreak::kRandomized, tie_rng));
-    }
-    memory.append(token.holder, Vote::kPlus, 0, std::move(refs), token.time);
+    am::MsgId tip{};
+    const bool extend = stale.block_count() > 0;
+    if (extend) tip = chain::choose_longest_tip(stale, chain::TieBreak::kRandomized, tie_rng);
+    memory.append(token.holder, Vote::kPlus, 0, std::span<const am::MsgId>(&tip, extend ? 1 : 0),
+                  token.time);
     if (i % 50 == 49) {
       const chain::BlockGraph live(memory.read());
       const chain::BlockGraph lagged(memory.read_at(token.time - 1.0));

@@ -73,12 +73,12 @@ class GuardedMemory {
 
   /// Token-gated append. `now` >= the token's issue time (delayed use is
   /// the Byzantine withholding power; time travel is not).
-  MsgId append(const AppendToken& token, Vote value, u64 payload, std::vector<MsgId> refs,
+  MsgId append(const AppendToken& token, Vote value, u64 payload, std::span<const MsgId> refs,
                SimTime now) {
     AMM_EXPECTS(vault_->is_spendable(token));
     AMM_EXPECTS(now >= token.issued_at);
     vault_->spend(token);
-    return memory_.append(token.holder, value, payload, std::move(refs), now);
+    return memory_.append(token.holder, value, payload, refs, now);
   }
 
  private:

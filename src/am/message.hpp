@@ -8,7 +8,7 @@
 
 #include <compare>
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "support/types.hpp"
 
@@ -28,13 +28,12 @@ struct Message {
   MsgId id;
   Vote value = Vote::kPlus;   ///< the ±1 input value (§5 protocols)
   u64 payload = 0;            ///< protocol-defined payload (e.g. round number)
-  std::vector<MsgId> refs;    ///< references to earlier appends ("previous state")
+  /// References to earlier appends ("previous state"). For an appended
+  /// message the span points into its AppendMemory's reference pool, which
+  /// never moves: it stays valid as long as that memory (moves included),
+  /// in a copy of this Message too.
+  std::span<const MsgId> refs;
   SimTime appended_at = 0.0;  ///< authoritative memory-side append time
-  /// Memory-wide arrival index. NOT protocol-visible information (the
-  /// model's whole point is that the memory cannot order concurrent
-  /// appends for the protocol) — used only by tooling that must preserve
-  /// the physical order, e.g. trace capture/replay.
-  u64 global_seq = 0;
 };
 
 }  // namespace amm::am

@@ -1,10 +1,15 @@
 // A single append-only register R_i (§1.1): unbounded, readable by every
-// node, writable only by its owner. Supports read() of the complete state
-// and append(msg); nothing is ever overwritten or removed.
+// node, writable only by its owner; nothing is ever overwritten or removed.
+//
+// The memory keeps every message once, in one arrival-ordered log
+// (am/memory.hpp). A register is its author's index into that log: entry
+// `seq` is the log position of the author's message `seq`. The handle that
+// AppendMemory::reg() returns borrows both, so like a `const Message&` it
+// stays valid only until the next append to the memory.
 #pragma once
 
+#include <algorithm>
 #include <span>
-#include <vector>
 
 #include "am/message.hpp"
 #include "support/assert.hpp"
@@ -13,50 +18,30 @@ namespace amm::am {
 
 class Register {
  public:
-  explicit Register(u32 owner) : owner_(owner) {}
+  Register(u32 owner, std::span<const Message> log, std::span<const u32> positions)
+      : owner_(owner), log_(log), positions_(positions) {}
 
   [[nodiscard]] u32 owner() const { return owner_; }
-  [[nodiscard]] u32 size() const { return static_cast<u32>(log_.size()); }
+  [[nodiscard]] u32 size() const { return static_cast<u32>(positions_.size()); }
 
-  /// Appends and returns the id assigned to the new message. The append
-  /// time must be non-decreasing: the memory is the single authority for
-  /// ordering within one register. `global_seq` is the memory-wide arrival
-  /// index (tooling-only; see Message::global_seq).
-  MsgId append(Vote value, u64 payload, std::vector<MsgId> refs, SimTime now,
-               u64 global_seq = 0) {
-    AMM_EXPECTS(log_.empty() || now >= log_.back().appended_at);
-    const MsgId id{owner_, size()};
-    log_.push_back(Message{id, value, payload, std::move(refs), now, global_seq});
-    return id;
-  }
-
-  /// Complete view of the register (the R_i.read() operation).
-  [[nodiscard]] std::span<const Message> read() const { return log_; }
-
+  /// The owner's message `seq`.
   [[nodiscard]] const Message& at(u32 seq) const {
-    AMM_EXPECTS(seq < log_.size());
-    return log_[seq];
+    AMM_EXPECTS(seq < positions_.size());
+    return log_[positions_[seq]];
   }
 
   /// Number of messages appended strictly before `time`.
   [[nodiscard]] u32 size_at(SimTime time) const {
-    // Registers are short-lived per trial and appends are time-ordered, so
-    // binary search over append times suffices.
-    u32 lo = 0, hi = size();
-    while (lo < hi) {
-      const u32 mid = lo + (hi - lo) / 2;
-      if (log_[mid].appended_at < time) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    // Append times are non-decreasing along a register: binary search.
+    const auto end = std::partition_point(positions_.begin(), positions_.end(),
+                                          [&](u32 p) { return log_[p].appended_at < time; });
+    return static_cast<u32>(end - positions_.begin());
   }
 
  private:
   u32 owner_;
-  std::vector<Message> log_;
+  std::span<const Message> log_;
+  std::span<const u32> positions_;
 };
 
 }  // namespace amm::am

@@ -1,6 +1,5 @@
 #include "am/trace.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -10,23 +9,17 @@ namespace amm::am {
 Trace capture(const AppendMemory& memory) {
   Trace trace;
   trace.node_count = memory.node_count();
-  const MemoryView view = memory.read();
-  // The physical append order: exact same-instant appends are ordered by
-  // the memory's arrival index, so replay never sees a forward reference.
-  std::vector<MsgId> ids;
-  ids.reserve(view.size());
-  view.for_each([&](const Message& m) { ids.push_back(m.id); });
-  std::sort(ids.begin(), ids.end(), [&](MsgId a, MsgId b) {
-    return view.msg(a).global_seq < view.msg(b).global_seq;
-  });
-  for (const MsgId id : ids) {
-    const Message& m = view.msg(id);
+  // The physical append order: the log is in arrival order, so exact
+  // same-instant appends keep it and replay never sees a forward reference.
+  const std::span<const Message> log = memory.log();
+  trace.entries.reserve(log.size());
+  for (const Message& m : log) {
     TraceEntry e;
-    e.author = id.author;
+    e.author = m.id.author;
     e.value = m.value;
     e.payload = m.payload;
     e.time = m.appended_at;
-    e.refs = m.refs;
+    e.refs.assign(m.refs.begin(), m.refs.end());
     trace.entries.push_back(std::move(e));
   }
   return trace;

@@ -63,9 +63,9 @@ class MemoryView {
   /// All visible messages sorted by authoritative append time (stable by id
   /// for identical times). Used by the timestamp baseline (§5.1).
   ///
-  /// Computed as a k-way merge over the per-register sequences (each is
-  /// already time-ordered), O(n log k) instead of a full O(n log n) sort;
-  /// see am/order.hpp for the incremental cursor variant.
+  /// Computed as a scan of the memory's arrival-ordered log, along which
+  /// append times never decrease, instead of a full O(n log n) sort; see
+  /// am/order.hpp for the incremental cursor variant.
   [[nodiscard]] std::vector<MsgId> by_append_time() const;
 
   /// Prefix partial order: *this ⊑ other iff every register prefix of this

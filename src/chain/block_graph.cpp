@@ -66,7 +66,7 @@ void BlockGraph::extend(const MemoryView& newer) {
   AMM_EXPECTS(view_.subset_of(newer));
 
   // Only the newly visible messages, in canonical (appended_at, id) order —
-  // a k-way merge over the per-register delta ranges.
+  // a scan of the memory's log over the per-register delta ranges.
   const std::vector<MsgId> delta =
       am::merge_append_order(newer.memory(), view_.lens(), newer.lens());
   view_ = newer;

@@ -50,7 +50,7 @@ void MemoryAuditor::audit(const am::AppendMemory& memory) {
   }
 
   for (u32 r = 0; r < memory.node_count(); ++r) {
-    const am::Register& reg = memory.reg(r);
+    const am::Register reg = memory.reg(r);
     RegisterState& state = regs_[r];
     if (reg.size() < state.len) {
       audit_failure("append-only growth", "register shrank since the last audit");

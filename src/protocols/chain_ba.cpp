@@ -1,6 +1,7 @@
 #include "protocols/chain_ba.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -46,9 +47,11 @@ class ChainState {
   }
 
   usize append(NodeId author, Vote vote, i32 parent, SimTime now) {
-    std::vector<am::MsgId> refs;
-    if (parent >= 0) refs.push_back(recs_[static_cast<usize>(parent)].id);
-    const am::MsgId id = memory_.append(author, vote, /*payload=*/0, std::move(refs), now);
+    // The one reference is the parent block, if any.
+    const std::span<const am::MsgId> refs =
+        parent >= 0 ? std::span<const am::MsgId>(&recs_[static_cast<usize>(parent)].id, 1)
+                    : std::span<const am::MsgId>();
+    const am::MsgId id = memory_.append(author, vote, /*payload=*/0, refs, now);
 
     Rec rec;
     rec.id = id;
@@ -260,12 +263,16 @@ Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
   const double correct_rate = params.lambda * static_cast<double>(s.correct_count());
   const double byz_rate = params.lambda * static_cast<double>(s.t);
 
+  // Per-slot buffers, reused across the trial's slots.
+  std::vector<usize> start_deepest;
+  std::vector<u8> labels;
+
   for (u64 slot = 0; slot < params.max_slots; ++slot) {
     const SimTime slot_start = static_cast<SimTime>(slot) * params.delta;
 
     // Snapshot of the deepest blocks as of the slot start: every correct
     // append of this slot is concurrent and acts on this stale state.
-    const std::vector<usize> start_deepest = st.deepest();
+    start_deepest = st.deepest();
     const bool genesis = st.size() == 0;
 
     const u64 c_tokens = token_rng.poisson(correct_rate);
@@ -273,8 +280,7 @@ Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
 
     // Interleave correct/Byzantine token order uniformly at random within
     // the slot (the merged Poisson process is exchangeable within Δ).
-    std::vector<u8> labels;
-    labels.reserve(c_tokens + b_tokens);
+    labels.clear();
     labels.insert(labels.end(), c_tokens, u8{0});
     labels.insert(labels.end(), b_tokens, u8{1});
     token_rng.shuffle(labels);

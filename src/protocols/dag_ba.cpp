@@ -38,18 +38,17 @@ class DagState {
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
   usize append(NodeId author, Vote vote, std::span<const usize> refs, SimTime now, bool byz) {
     const usize idx = recs_.size();
-    std::vector<am::MsgId> ref_ids;
-    ref_ids.reserve(refs.size());
+    ref_ids_.clear();
     bool retired = false;
     for (const usize r : refs) {
-      ref_ids.push_back(recs_[r].id);
+      ref_ids_.push_back(recs_[r].id);
       if (recs_[r].first_referrer == kNone) {
         recs_[r].first_referrer = idx;
         retired = true;
       }
     }
     Rec rec;
-    rec.id = memory_.append(author, vote, /*payload=*/0, std::move(ref_ids), now);
+    rec.id = memory_.append(author, vote, /*payload=*/0, ref_ids_, now);
     rec.time = now;
     rec.byz = byz;
     rec.depth = refs.empty() ? 1 : recs_[refs.front()].depth + 1;
@@ -105,6 +104,7 @@ class DagState {
   am::AppendMemory memory_;
   check::MemoryAuditor auditor_;
   std::vector<Rec> recs_;
+  std::vector<am::MsgId> ref_ids_;  ///< the next append's references, reused
   std::vector<usize> true_tips_;
   std::vector<usize> stale_tips_;
   usize stale_end_ = 0;

@@ -1,6 +1,7 @@
 #include "protocols/nakamoto.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "am/memory.hpp"
 #include "chain/block_graph.hpp"
@@ -54,17 +55,13 @@ NakamotoResult run_double_spend_race(const NakamotoParams& params, Rng rng) {
       // Private mining: extend the withheld fork (anchored beside the tx
       // block — the double-spend shares the tx block's parent).
       if (!have_tx_block) continue;  // nothing to fork from yet
-      std::vector<am::MsgId> refs;
-      if (have_private) refs.push_back(private_tip);
-      private_tip =
-          memory.append(token.holder, Vote::kMinus, /*payload=*/1, std::move(refs), token.time);
+      const std::span<const am::MsgId> refs(&private_tip, have_private ? 1 : 0);
+      private_tip = memory.append(token.holder, Vote::kMinus, /*payload=*/1, refs, token.time);
       have_private = true;
       ++private_len;
     } else {
-      std::vector<am::MsgId> refs;
-      if (have_tx_block) refs.push_back(public_tip);
-      public_tip =
-          memory.append(token.holder, Vote::kPlus, /*payload=*/0, std::move(refs), token.time);
+      const std::span<const am::MsgId> refs(&public_tip, have_tx_block ? 1 : 0);
+      public_tip = memory.append(token.holder, Vote::kPlus, /*payload=*/0, refs, token.time);
       have_tx_block = true;
       ++public_len;
     }

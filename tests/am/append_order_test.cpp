@@ -1,4 +1,4 @@
-// The k-way merge behind MemoryView::by_append_time() and the incremental
+// The log scan behind MemoryView::by_append_time() and the incremental
 // AppendOrderCursor must reproduce the old full-sort semantics *exactly*,
 // including the stable by-id tie-break among equal timestamps.
 #include "am/order.hpp"
@@ -63,6 +63,33 @@ TEST(AppendOrder, MergeMatchesSortReferenceOnRandomTraces) {
     }
     const MemoryView partial(&memory, lens);
     EXPECT_EQ(partial.by_append_time(), sort_reference(partial));
+  }
+}
+
+TEST(AppendOrder, MergeMatchesSortReferenceOnArbitraryDeltas) {
+  // Per-register bounds from <= to drawn independently, so a delta is
+  // almost never a time cut: its log span then holds messages outside it,
+  // interleaved with its own, which the scan must skip.
+  Rng seed_rng(777001);
+  for (int trial = 0; trial < 40; ++trial) {
+    Rng rng = Rng::for_stream(seed_rng.next(), static_cast<u64>(trial));
+    const u32 n = 1 + static_cast<u32>(rng.uniform_below(8));
+    AppendMemory memory(n);
+    random_trace(memory, n, rng.uniform_below(200), rng);
+
+    std::vector<u32> from(n), to(n);
+    for (u32 r = 0; r < n; ++r) {
+      const u32 len = memory.reg(r).size();
+      const auto a = static_cast<u32>(rng.uniform_below(len + 1));
+      const auto b = static_cast<u32>(rng.uniform_below(len + 1));
+      from[r] = std::min(a, b);
+      to[r] = std::max(a, b);
+    }
+    std::vector<MsgId> expected;
+    for (const MsgId id : sort_reference(MemoryView(&memory, to))) {
+      if (id.seq >= from[id.author]) expected.push_back(id);
+    }
+    EXPECT_EQ(merge_append_order(memory, from, to), expected);
   }
 }
 

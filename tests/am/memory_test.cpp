@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 namespace amm::am {
 namespace {
+
+// A copy's Message::refs would point into the source's reference pool.
+static_assert(!std::is_copy_constructible_v<AppendMemory>);
 
 TEST(AppendMemory, FreshMemoryIsEmpty) {
   AppendMemory m(3);
@@ -62,6 +69,35 @@ TEST(AppendMemory, RefsToExistingMessagesAccepted) {
   const MsgId a = m.append(NodeId{0}, Vote::kPlus, 0, {}, 1.0);
   const MsgId b = m.append(NodeId{1}, Vote::kPlus, 0, {a}, 2.0);
   EXPECT_EQ(m.msg(b).refs.front(), a);
+}
+
+TEST(AppendMemory, RefsOutliveTheCallersBuffer) {
+  AppendMemory m(3);
+  const MsgId a = m.append(NodeId{0}, Vote::kPlus, 0, {}, 1.0);
+  const MsgId b = m.append(NodeId{1}, Vote::kPlus, 0, {}, 2.0);
+  MsgId c{};
+  {
+    std::vector<MsgId> refs{a, b};
+    c = m.append(NodeId{2}, Vote::kMinus, 0, refs, 3.0);
+    refs.assign(refs.size(), MsgId{9, 9});  // scribble over the caller's copy
+  }
+  // Enough further appends to regrow the log and open new pool chunks.
+  for (u32 i = 0; i < 300; ++i) {
+    m.append(NodeId{i % 3}, Vote::kPlus, 0, {a, b, c}, 4.0 + i);
+  }
+  const auto check = [&](const AppendMemory& mem) {
+    const std::span<const MsgId> refs = mem.msg(c).refs;
+    ASSERT_EQ(refs.size(), 2u);
+    EXPECT_EQ(refs[0], a);
+    EXPECT_EQ(refs[1], b);
+    EXPECT_EQ(mem.msg(MsgId{2, 100}).refs.back(), c);
+  };
+  check(m);
+  const Message kept = m.msg(c);  // a copied Message keeps its span too
+  const AppendMemory moved = std::move(m);
+  check(moved);
+  ASSERT_EQ(kept.refs.size(), 2u);
+  EXPECT_EQ(kept.refs[1], b);
 }
 
 TEST(AppendMemoryDeathTest, DanglingRefRejected) {

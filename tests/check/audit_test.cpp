@@ -77,11 +77,14 @@ TEST(MemoryAuditorDeathTest, DetectsViewRegression) {
 }
 
 TEST(MessageDigest, SensitiveToEveryField) {
+  // Message::refs is a span: back it with arrays that outlive every use.
+  const am::MsgId base_refs[] = {am::MsgId{0, 0}};
+  const am::MsgId longer_refs[] = {am::MsgId{0, 0}, am::MsgId{0, 1}};
   am::Message base;
   base.id = am::MsgId{1, 2};
   base.value = Vote::kPlus;
   base.payload = 3;
-  base.refs = {am::MsgId{0, 0}};
+  base.refs = base_refs;
   base.appended_at = 1.5;
   const u64 d = message_digest(base);
 
@@ -95,7 +98,7 @@ TEST(MessageDigest, SensitiveToEveryField) {
   m.appended_at = 1.75;
   EXPECT_NE(message_digest(m), d);
   m = base;
-  m.refs.push_back(am::MsgId{0, 1});
+  m.refs = longer_refs;
   EXPECT_NE(message_digest(m), d);
   m = base;
   m.id = am::MsgId{1, 3};
