@@ -1,7 +1,6 @@
 // Hot-path benchmark for the incremental append-memory machinery: graph
 // growth (extend vs from-scratch rebuild), append-time ordering (the log
-// scan vs full sort vs incremental cursor) and the decision rules on the
-// final graph. Emits harness tables; `--json` output is aggregated into the
+// scan vs full sort) and the decision rules on the final graph. Emits harness tables; `--json` output is aggregated into the
 // pinned BENCH_sim.json baseline by tools/collect_bench.py and compared by
 // tools/bench_diff.py.
 //
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "am/memory.hpp"
-#include "am/order.hpp"
 #include "chain/rules.hpp"
 #include "exp/harness.hpp"
 #include "mp/abd.hpp"
@@ -132,18 +130,17 @@ int main(int argc, char** argv) {
   h.emit(growth, "Graph growth over " + std::to_string(rounds) +
                      " observation rounds: incremental extend vs from-scratch rebuild:");
 
-  // --- Append-time ordering: merge vs sort vs incremental cursor -------
-  Table ordering({"n", "history", "merge [ms]", "sort [ms]", "cursor [ms]"});
+  // --- Append-time ordering: log scan vs sort --------------------------
+  Table ordering({"n", "history", "merge [ms]", "sort [ms]"});
   for (const u32 n : ns) {
     for (const u32 history : histories) {
       const am::AppendMemory memory = build_history(n, history, h.seed + 1);
       const am::MemoryView view = memory.read();
-      const std::vector<am::MemoryView> views = observation_views(memory, history, rounds);
       const int reps = reps_for(history);
 
-      const double merge_ms = time_ms(reps, [&] { g_sink = g_sink + view.by_append_time().size(); });
+      const auto merge = [&] { g_sink = g_sink + view.by_append_time().size(); };
       // The pre-merge implementation, timed as the baseline it replaced.
-      const double sort_ms = time_ms(reps, [&] {
+      const auto sort = [&] {
         std::vector<am::MsgId> ids;
         ids.reserve(view.size());
         for (u32 r = 0; r < view.register_count(); ++r) {
@@ -156,30 +153,21 @@ int main(int argc, char** argv) {
           return a < b;
         });
         g_sink = g_sink + ids.size();
-      });
-      // Round-r watermark = the read horizon of round r's view: everything
-      // still hidden was appended at or after it.
-      std::vector<SimTime> horizons;
-      horizons.reserve(views.size());
-      for (u32 r = 1; r <= rounds; ++r) {
-        horizons.push_back(static_cast<SimTime>(history) * static_cast<double>(r) /
-                           static_cast<double>(rounds) + 0.5);
-      }
-      const double cursor_ms = time_ms(reps, [&] {
-        am::AppendOrderCursor cursor(memory);
-        std::vector<am::MsgId> out;
-        out.reserve(view.size());
-        for (usize i = 0; i < views.size(); ++i) cursor.drain(views[i], horizons[i], out);
-        cursor.finish(view, out);
-        g_sink = g_sink + out.size();
-      });
+      };
+      // One untimed call of each first. A long history is timed once, and
+      // without it that one call would also pay first-touch page faults on
+      // output buffers the allocator has just mapped, an amount that
+      // depends on what the harness allocated before.
+      merge();
+      sort();
+      const double merge_ms = time_ms(reps, merge);
+      const double sort_ms = time_ms(reps, sort);
       ordering.add_row({std::to_string(n), std::to_string(history), fmt(merge_ms, 3),
-                        fmt(sort_ms, 3), fmt(cursor_ms, 3)});
+                        fmt(sort_ms, 3)});
     }
   }
   h.emit(ordering,
-         "Append-time ordering of the full history: k-way merge vs the old full "
-         "sort vs round-by-round cursor:");
+         "Append-time ordering of the full history: log scan vs the old full sort:");
 
   // --- Decision rules on the final graph -------------------------------
   Table rules({"n", "history", "ghost pivot [ms]", "longest pivot [ms]", "linearize [ms]"});

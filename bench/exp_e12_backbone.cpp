@@ -70,31 +70,24 @@ int main(int argc, char** argv) {
       params.lambda = lambda;
       params.adversary = proto::ChainAdversary::kRushExtend;
 
-      std::mutex m;
+      const std::vector<proto::Outcome> outs = exp::run_trials(
+          h.pool, h.seed ^ (static_cast<u64>(lambda * 1000) * 17 + t), h.trials,
+          [&](usize, Rng& rng) { return proto::run_chain_slotted(params, rng); });
       double growth_sum = 0.0, quality_sum = 0.0, divergence_sum = 0.0;
       usize runs = 0;
-      exp::collect_stats(
-          h.pool, h.seed ^ (static_cast<u64>(lambda * 1000) * 17 + t), h.trials,
-          [&](usize, Rng& rng) {
-            const proto::Outcome out = proto::run_chain_slotted(params, rng);
-            if (!out.terminated) return 0.0;
-            // growth: chain length k over elapsed slots; quality: byz share
-            // of the decided chain; divergence: how far two views separated
-            // by one Δ of staleness disagree — approximated by the wasted
-            // (forked) appends per depth unit.
-            const double growth =
-                static_cast<double>(params.k) / static_cast<double>(out.rounds);
-            const double quality = static_cast<double>(out.byz_in_decision_set) /
-                                   static_cast<double>(out.decision_set_size);
-            const double waste =
-                static_cast<double>(out.total_appends) / static_cast<double>(params.k) - 1.0;
-            std::scoped_lock lock(m);
-            growth_sum += growth;
-            quality_sum += quality;
-            divergence_sum += waste;
-            ++runs;
-            return growth;
-          });
+      for (const proto::Outcome& out : outs) {
+        if (!out.terminated) continue;
+        // growth: chain length k over elapsed slots; quality: byz share of
+        // the decided chain; divergence: how far two views separated by one
+        // Δ of staleness disagree — approximated by the wasted (forked)
+        // appends per depth unit.
+        growth_sum += static_cast<double>(params.k) / static_cast<double>(out.rounds);
+        quality_sum += static_cast<double>(out.byz_in_decision_set) /
+                       static_cast<double>(out.decision_set_size);
+        divergence_sum +=
+            static_cast<double>(out.total_appends) / static_cast<double>(params.k) - 1.0;
+        ++runs;
+      }
       table.add_row({fmt(lambda, 2), std::to_string(t),
                      fmt(lambda * (n - t), 2), fmt(lambda * t, 2),
                      fmt(growth_sum / static_cast<double>(runs), 3),

@@ -42,22 +42,20 @@ int main(int argc, char** argv) {
     params.scenario.inputs.resize(n);
     for (u32 v = 0; v < n; ++v) params.scenario.inputs[v] = v % 2 ? Vote::kMinus : Vote::kPlus;
 
-    std::mutex m;
+    const std::vector<proto::FinalityResult> results = exp::run_trials(
+        h.pool, h.seed ^ static_cast<u64>(staleness * 10), h.trials,
+        [&](usize, Rng& rng) { return proto::run_chain_finality(params, staleness, rng); });
+    BernoulliEstimate est;
     double replaced_sum = 0.0;
     usize flips = 0, runs = 0;
-    const auto est = exp::estimate_rate(
-        h.pool, h.seed ^ static_cast<u64>(staleness * 10), h.trials, [&](usize, Rng& rng) {
-          const proto::FinalityResult res = proto::run_chain_finality(params, staleness, rng);
-          {
-            std::scoped_lock lock(m);
-            if (res.terminated) {
-              replaced_sum += static_cast<double>(res.prefix_divergence);
-              flips += res.flipped;
-              ++runs;
-            }
-          }
-          return res.terminated && res.split;
-        });
+    for (const proto::FinalityResult& res : results) {
+      est.add(res.terminated && res.split);
+      if (res.terminated) {
+        replaced_sum += static_cast<double>(res.prefix_divergence);
+        flips += res.flipped;
+        ++runs;
+      }
+    }
     const auto [lo, hi] = est.wilson95();
     table.add_row({fmt(staleness, 1), fmt_ci(est.rate(), lo, hi),
                    runs > 0 ? fmt(static_cast<double>(flips) / static_cast<double>(runs), 3)

@@ -35,24 +35,20 @@ int main(int argc, char** argv) {
     params.async_delay = delay;
     params.async_window = 51;  // the final half of the cut is asynchronous
 
-    std::mutex m;
+    const std::vector<proto::DagResult> results = exp::run_trials(
+        h.pool, h.seed ^ static_cast<u64>(delay * 10), h.trials,
+        [&](usize, Rng& rng) { return proto::run_dag_continuous(params, rng); });
+    BernoulliEstimate est;
     double dump_sum = 0.0, gap_sum = 0.0;
-    usize runs = 0;
-    const auto est = exp::estimate_rate(
-        h.pool, h.seed ^ static_cast<u64>(delay * 10), h.trials, [&](usize, Rng& rng) {
-          const proto::DagResult res = proto::run_dag_continuous(params, rng);
-          {
-            std::scoped_lock lock(m);
-            dump_sum += static_cast<double>(res.dumped);
-            gap_sum += res.final_gap;
-            ++runs;
-          }
-          return res.outcome.terminated && res.outcome.validity(params.scenario);
-        });
+    for (const proto::DagResult& res : results) {
+      est.add(res.outcome.terminated && res.outcome.validity(params.scenario));
+      dump_sum += static_cast<double>(res.dumped);
+      gap_sum += res.final_gap;
+    }
     const auto [lo, hi] = est.wilson95();
     table.add_row({fmt(delay, 1), fmt_ci(est.rate(), lo, hi),
-                   fmt(dump_sum / static_cast<double>(runs), 2),
-                   fmt(gap_sum / static_cast<double>(runs), 2)});
+                   fmt(dump_sum / static_cast<double>(results.size()), 2),
+                   fmt(gap_sum / static_cast<double>(results.size()), 2)});
   }
   h.emit(table,
          "n=20, t=8 (t/n = 0.4), lambda=1, k=101. Synchronous (delay 0): the dump\n"

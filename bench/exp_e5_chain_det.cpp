@@ -19,7 +19,6 @@ namespace {
 struct Row {
   double byz_frac_sum = 0.0;
   usize valid = 0;
-  usize runs = 0;
 };
 
 Row measure(exp::Harness& h, u32 n, u32 t, bool adversarial_ties) {
@@ -33,21 +32,16 @@ Row measure(exp::Harness& h, u32 n, u32 t, bool adversarial_ties) {
   params.adversarial_ties = adversarial_ties;
   params.adversary = proto::ChainAdversary::kForkTieBreak;
 
-  std::mutex m;
+  const std::vector<proto::Outcome> outs = exp::run_trials(
+      h.pool, h.seed ^ (n * 100 + t + (adversarial_ties ? 7 : 0)), h.trials,
+      [&](usize, Rng& rng) { return proto::run_chain_slotted(params, rng); });
   Row row;
-  exp::collect_stats(h.pool, h.seed ^ (n * 100 + t + (adversarial_ties ? 7 : 0)), h.trials,
-                     [&](usize, Rng& rng) {
-                       const proto::Outcome out = proto::run_chain_slotted(params, rng);
-                       const double frac = out.terminated
-                                               ? static_cast<double>(out.byz_in_decision_set) /
-                                                     static_cast<double>(out.decision_set_size)
-                                               : 0.0;
-                       std::scoped_lock lock(m);
-                       row.byz_frac_sum += frac;
-                       row.valid += out.terminated && out.validity(params.scenario);
-                       ++row.runs;
-                       return frac;
-                     });
+  for (const proto::Outcome& out : outs) {
+    row.byz_frac_sum += out.terminated ? static_cast<double>(out.byz_in_decision_set) /
+                                             static_cast<double>(out.decision_set_size)
+                                       : 0.0;
+    row.valid += out.terminated && out.validity(params.scenario);
+  }
   return row;
 }
 
@@ -62,7 +56,8 @@ int main(int argc, char** argv) {
     const double beta = static_cast<double>(t) / n;
     for (const bool adversarial : {true, false}) {
       const Row row = measure(h, n, t, adversarial);
-      const double frac = row.byz_frac_sum / static_cast<double>(row.runs);
+      const auto runs = static_cast<double>(h.trials);
+      const double frac = row.byz_frac_sum / runs;
       // First-order predictions: with worst-case deterministic ties every
       // Byzantine fork both enters the chain and orphans a correct block →
       // share β/(1-β) (hits 1/2 at β = 1/3, Theorem 5.3). With randomized
@@ -71,7 +66,7 @@ int main(int argc, char** argv) {
       table.add_row({std::to_string(n), std::to_string(t), fmt(beta, 3),
                      adversarial ? "deterministic (worst-case)" : "randomized",
                      fmt(frac, 3), fmt(std::min(pred, 1.0), 3),
-                     fmt(static_cast<double>(row.valid) / static_cast<double>(row.runs), 3)});
+                     fmt(static_cast<double>(row.valid) / runs, 3)});
     }
   }
   h.emit(table,

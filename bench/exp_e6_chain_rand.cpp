@@ -32,24 +32,23 @@ int main(int argc, char** argv) {
         params.tie_break = chain::TieBreak::kRandomized;
         params.adversary = proto::ChainAdversary::kRushExtend;
 
-        std::mutex m;
-        double frac_sum = 0.0;
-        usize runs = 0;
-        const auto est = exp::estimate_rate(
+        const std::vector<proto::Outcome> outs = exp::run_trials(
             h.pool, h.seed ^ (static_cast<u64>(lambda * 1000) * 31 + t + (slotted ? 1 : 0)),
             h.trials, [&](usize, Rng& rng) {
-              const proto::Outcome out = slotted ? proto::run_chain_slotted(params, rng)
-                                                 : proto::run_chain_continuous(params, rng);
-              {
-                std::scoped_lock lock(m);
-                if (out.terminated) {
-                  frac_sum += static_cast<double>(out.byz_in_decision_set) /
-                              static_cast<double>(out.decision_set_size);
-                  ++runs;
-                }
-              }
-              return out.terminated && out.validity(params.scenario);
+              return slotted ? proto::run_chain_slotted(params, rng)
+                             : proto::run_chain_continuous(params, rng);
             });
+        BernoulliEstimate est;
+        double frac_sum = 0.0;
+        usize runs = 0;
+        for (const proto::Outcome& out : outs) {
+          est.add(out.terminated && out.validity(params.scenario));
+          if (out.terminated) {
+            frac_sum += static_cast<double>(out.byz_in_decision_set) /
+                        static_cast<double>(out.decision_set_size);
+            ++runs;
+          }
+        }
         const auto [lo, hi] = est.wilson95();
         table.add_row({slotted ? "slotted" : "continuous", fmt(lambda, 3), std::to_string(t),
                        fmt(static_cast<double>(t) / n, 3),

@@ -36,21 +36,19 @@ Measured measure(exp::Harness& h, u32 n, u32 t, u32 k, double lambda, u64 salt) 
   params.lambda = lambda;
   params.adversary = proto::DagAdversary::kWithholdOnly;
 
-  std::mutex m;
+  const std::vector<proto::DagResult> results =
+      exp::run_trials(h.pool, h.seed ^ salt, h.trials,
+                      [&](usize, Rng& rng) { return proto::run_dag_continuous(params, rng); });
   Measured sum;
-  usize runs = 0;
-  exp::collect_stats(h.pool, h.seed ^ salt, h.trials, [&](usize, Rng& rng) {
-    const proto::DagResult res = proto::run_dag_continuous(params, rng);
-    std::scoped_lock lock(m);
+  for (const proto::DagResult& res : results) {
     sum.dump += static_cast<double>(res.dumped);
     sum.omniscient += static_cast<double>(res.omniscient_bound);
     sum.gap += res.final_gap / params.delta;
-    ++runs;
-    return static_cast<double>(res.omniscient_bound);
-  });
-  sum.dump /= static_cast<double>(runs);
-  sum.omniscient /= static_cast<double>(runs);
-  sum.gap /= static_cast<double>(runs);
+  }
+  const auto runs = static_cast<double>(results.size());
+  sum.dump /= runs;
+  sum.omniscient /= runs;
+  sum.gap /= runs;
   return sum;
 }
 

@@ -31,25 +31,20 @@ int main(int argc, char** argv) {
       params.lambda = lambda;
       params.adversary = proto::DagAdversary::kRateAndWithhold;
 
-      std::mutex m;
-      double frac_sum = 0.0;
-      usize runs = 0;
-      const auto est = exp::estimate_rate(
+      const std::vector<proto::DagResult> results = exp::run_trials(
           h.pool, h.seed ^ (static_cast<u64>(lambda * 100) * 131 + t), h.trials,
-          [&](usize, Rng& rng) {
-            const proto::DagResult res = proto::run_dag_continuous(params, rng);
-            {
-              std::scoped_lock lock(m);
-              frac_sum += static_cast<double>(res.outcome.byz_in_decision_set) /
-                          static_cast<double>(res.outcome.decision_set_size);
-              ++runs;
-            }
-            return res.outcome.terminated && res.outcome.validity(params.scenario);
-          });
+          [&](usize, Rng& rng) { return proto::run_dag_continuous(params, rng); });
+      BernoulliEstimate est;
+      double frac_sum = 0.0;
+      for (const proto::DagResult& res : results) {
+        est.add(res.outcome.terminated && res.outcome.validity(params.scenario));
+        frac_sum += static_cast<double>(res.outcome.byz_in_decision_set) /
+                    static_cast<double>(res.outcome.decision_set_size);
+      }
       const auto [lo, hi] = est.wilson95();
       table.add_row({fmt(lambda, 2), std::to_string(t), fmt(static_cast<double>(t) / n, 2),
                      fmt_ci(est.rate(), lo, hi),
-                     fmt(frac_sum / static_cast<double>(runs), 3)});
+                     fmt(frac_sum / static_cast<double>(results.size()), 3)});
     }
   }
   h.emit(table,

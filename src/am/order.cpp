@@ -61,43 +61,4 @@ std::vector<MsgId> merge_append_order(const AppendMemory& memory, const std::vec
   return out;
 }
 
-AppendOrderCursor::AppendOrderCursor(const AppendMemory& memory)
-    : memory_(&memory),
-      next_(memory.node_count(), 0),
-      limit_(memory.node_count(), 0) {}
-
-usize AppendOrderCursor::drain(const MemoryView& view, SimTime watermark,
-                               std::vector<MsgId>& out) {
-  AMM_EXPECTS(&view.memory() == memory_);
-  AMM_EXPECTS(view.register_count() == next_.size());
-
-  // Admit newly visible register heads. A register contributes (at most)
-  // one heap entry at a time — its smallest unemitted message.
-  for (u32 r = 0; r < view.register_count(); ++r) {
-    const u32 new_limit = view.register_len(r);
-    AMM_EXPECTS(new_limit >= limit_[r]);  // views of a cursor only grow
-    const bool was_exhausted = next_[r] >= limit_[r];
-    limit_[r] = new_limit;
-    if (was_exhausted && next_[r] < limit_[r]) {
-      const MsgId id{r, next_[r]};
-      heads_.push(Head{memory_->msg(id).appended_at, id});
-    }
-  }
-
-  usize count = 0;
-  while (!heads_.empty() && heads_.top().time < watermark) {
-    const Head top = heads_.top();
-    heads_.pop();
-    out.push_back(top.id);
-    ++count;
-    const u32 r = top.id.author;
-    if (++next_[r] < limit_[r]) {
-      const MsgId id{r, next_[r]};
-      heads_.push(Head{memory_->msg(id).appended_at, id});
-    }
-  }
-  emitted_ += count;
-  return count;
-}
-
 }  // namespace amm::am

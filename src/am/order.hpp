@@ -1,19 +1,12 @@
 // Append-time ordering of visible messages (§2, §5.3). Append times never
 // decrease along the memory's arrival-ordered log, so the canonical
 // (appended_at, id) order of a view is a scan of the log's relevant span
-// with ties sorted by id — no global sort, no heap. Views that only ever
-// grow can also consume the order incrementally through a cursor that
-// merges the per-register sequences instead of re-sorting the whole
-// history every round.
+// with ties sorted by id — no global sort, no heap.
 #pragma once
 
-#include <limits>
-#include <queue>
 #include <vector>
 
 #include "am/message.hpp"
-#include "am/view.hpp"
-#include "support/assert.hpp"
 
 namespace amm::am {
 
@@ -31,54 +24,5 @@ class AppendMemory;  // fwd
 [[nodiscard]] std::vector<MsgId> merge_append_order(const AppendMemory& memory,
                                                     const std::vector<u32>& from,
                                                     const std::vector<u32>& to);
-
-/// Incremental cursor over the canonical append order of a *growing* view.
-///
-/// Because registers are append-only, the set of visible messages only ever
-/// grows; the cursor merges the per-register sequences lazily and emits the
-/// order batch by batch. A batch is always internally ordered. The
-/// concatenation of all batches equals the full `by_append_time()` order of
-/// the final view provided each `drain(view, watermark)` call passes a
-/// watermark no later than the append time of every message *not yet
-/// visible* in `view` — then a message emitted now can never be preceded by
-/// one that becomes visible later. For observers that read the full memory,
-/// `AppendMemory::last_append_time()` is exactly such a watermark (append
-/// times are globally non-decreasing), which is what the protocols use for
-/// round-by-round consumption; a stale observer at horizon h uses h.
-class AppendOrderCursor {
- public:
-  explicit AppendOrderCursor(const AppendMemory& memory);
-
-  /// Extends the frontier to `view` (must grow register-wise) and appends
-  /// every not-yet-emitted visible message with appended_at < `watermark`
-  /// to `out`, in (appended_at, id) order. Returns the number emitted.
-  usize drain(const MemoryView& view, SimTime watermark, std::vector<MsgId>& out);
-
-  /// Drains everything visible in `view` regardless of time: the terminal
-  /// call once the memory stops growing.
-  usize finish(const MemoryView& view, std::vector<MsgId>& out) {
-    return drain(view, std::numeric_limits<SimTime>::infinity(), out);
-  }
-
-  /// Messages emitted so far over all drains.
-  [[nodiscard]] usize emitted() const { return emitted_; }
-
- private:
-  struct Head {
-    SimTime time;
-    MsgId id;
-    /// Min-heap on the canonical (appended_at, id) key.
-    bool operator>(const Head& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
-  const AppendMemory* memory_;
-  std::vector<u32> next_;   ///< per-register: first sequence not yet emitted/queued
-  std::vector<u32> limit_;  ///< per-register: visible frontier of the last drain
-  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads_;
-  usize emitted_ = 0;
-};
 
 }  // namespace amm::am

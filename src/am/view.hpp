@@ -64,8 +64,8 @@ class MemoryView {
   /// for identical times). Used by the timestamp baseline (§5.1).
   ///
   /// Computed as a scan of the memory's arrival-ordered log, along which
-  /// append times never decrease, instead of a full O(n log n) sort; see
-  /// am/order.hpp for the incremental cursor variant.
+  /// append times never decrease, instead of a full O(n log n) sort (see
+  /// am/order.hpp).
   [[nodiscard]] std::vector<MsgId> by_append_time() const;
 
   /// Prefix partial order: *this ⊑ other iff every register prefix of this

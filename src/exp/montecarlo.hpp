@@ -1,75 +1,50 @@
 // Parallel Monte-Carlo trial runner for the experiment harness.
 //
 // Trials are pure functions of (trial index, private RNG) — no shared
-// mutable state (Core Guidelines CP.2/CP.3); results are accumulated into
-// thread-local aggregates and merged once at the end, so estimates are
-// independent of scheduling and fully reproducible from the master seed.
+// mutable state (Core Guidelines CP.2/CP.3). Trial i's RNG derives from
+// (master seed, i) alone and its result lands in slot i, so every
+// statistic is a fold over the slots in trial order: the same arithmetic
+// at any thread count and in any completion order, which makes each table
+// a pure function of the master seed.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <mutex>
+#include <type_traits>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 
 namespace amm::exp {
-namespace detail {
 
-/// Runs `trials` independent trials with *dynamic* scheduling: one worker
-/// per pool thread, each pulling the next trial index from a shared atomic
-/// counter. Trial durations are heavily skewed (a withholding adversary can
-/// make one trial run orders of magnitude longer than an honest one), so
-/// static contiguous chunks serialize on whichever chunk drew the slow
-/// trials; with work stealing from a counter the imbalance is at most one
-/// trial. Results stay scheduling-independent because each trial's RNG is
-/// derived from (master seed, trial index) alone and the accumulator merge
-/// is associative over per-worker partials.
-template <typename Acc, typename PerTrial>
-Acc run_trials(ThreadPool& pool, usize trials, const PerTrial& per_trial) {
-  Acc total;
-  if (trials == 0) return total;
-  std::mutex merge_mutex;
-  std::atomic<usize> next{0};
-  const usize workers = std::min<usize>(trials, pool.size());
-  for (usize w = 0; w < workers; ++w) {
-    pool.submit([&total, &merge_mutex, &next, trials, &per_trial] {
-      Acc local;
-      for (usize i = next.fetch_add(1, std::memory_order_relaxed); i < trials;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        per_trial(i, local);
-      }
-      std::scoped_lock lock(merge_mutex);
-      total.merge(local);
-    });
-  }
-  // All captured locals outlive the workers: wait_idle() blocks until the
-  // last submitted task has finished.
-  pool.wait_idle();
-  return total;
+/// Runs `trials` independent trials across the pool (parallel_for's dynamic
+/// scheduling) and returns trial i's result in slot i. Each slot is written
+/// by exactly one worker and read only after parallel_for's wait_idle().
+/// A slot must be its own object: std::vector<bool> packs slots into shared
+/// words that concurrent writers would race on, so `bool` is rejected.
+template <typename Trial>
+auto run_trials(ThreadPool& pool, u64 master_seed, usize trials, const Trial& trial) {
+  using Result = std::invoke_result_t<const Trial&, usize, Rng&>;
+  static_assert(!std::is_same_v<Result, bool>,
+                "std::vector<bool> slots share words; return a byte-sized type");
+  std::vector<Result> results(trials);
+  parallel_for(pool, trials, [&](usize i) {
+    Rng rng = Rng::for_stream(master_seed, i);
+    results[i] = trial(i, rng);
+  });
+  return results;
 }
-
-}  // namespace detail
 
 /// Estimates Pr[trial succeeds] over `trials` independent runs.
 inline BernoulliEstimate estimate_rate(ThreadPool& pool, u64 master_seed, usize trials,
                                        const std::function<bool(usize, Rng&)>& trial) {
-  return detail::run_trials<BernoulliEstimate>(
-      pool, trials, [master_seed, &trial](usize i, BernoulliEstimate& acc) {
-        Rng rng = Rng::for_stream(master_seed, i);
-        acc.add(trial(i, rng));
-      });
-}
-
-/// Streams a real-valued statistic over `trials` independent runs.
-inline RunningStats collect_stats(ThreadPool& pool, u64 master_seed, usize trials,
-                                  const std::function<double(usize, Rng&)>& trial) {
-  return detail::run_trials<RunningStats>(pool, trials,
-                                          [master_seed, &trial](usize i, RunningStats& acc) {
-                                            Rng rng = Rng::for_stream(master_seed, i);
-                                            acc.add(trial(i, rng));
-                                          });
+  const std::vector<u8> passed =
+      run_trials(pool, master_seed, trials,
+                 [&trial](usize i, Rng& rng) -> u8 { return trial(i, rng) ? 1 : 0; });
+  BernoulliEstimate est;
+  for (const u8 p : passed) est.add(p != 0);
+  return est;
 }
 
 }  // namespace amm::exp

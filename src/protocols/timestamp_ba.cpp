@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "am/memory.hpp"
-#include "am/order.hpp"
 #include "check/audit.hpp"
 #include "sched/poisson.hpp"
 #include "support/stats.hpp"
@@ -23,18 +22,12 @@ Outcome run_timestamp_ba(const TimestampParams& params, Rng rng) {
 
   // Every node loops: read, and on a granted token append its value. The
   // optimal Byzantine strategy (proof of Thm 5.2) appends the opposite of
-  // the correct input on every token. The append-time order is consumed
-  // incrementally: the cursor drains everything ordered strictly before the
-  // latest append time each round, so the final decision never re-sorts the
-  // whole history.
-  am::AppendOrderCursor cursor(memory);
-  std::vector<am::MsgId> ordered;
+  // the correct input on every token.
   while (memory.total_appends() < params.k) {
     const sched::Token token = authority.next();
     const Vote vote = s.is_byzantine(token.holder) ? opposite(s.correct_input)
                                                    : s.input_of(token.holder.index);
     memory.append(token.holder, vote, /*payload=*/0, /*refs=*/{}, token.time);
-    cursor.drain(memory.read(), memory.last_append_time(), ordered);
     if constexpr (check::kAuditEnabled) {
       if ((memory.total_appends() & 0x3f) == 0) {
         auditor.audit(memory);
@@ -45,11 +38,12 @@ Outcome run_timestamp_ba(const TimestampParams& params, Rng rng) {
 
   // Decision: order all appends by the authority's absolute timestamps and
   // take the sign of the first k. Every node reads the same memory, so all
-  // correct nodes compute the identical decision.
+  // correct nodes compute the identical decision. by_append_time() is one
+  // scan of the memory's arrival-ordered log.
   const am::MemoryView view = memory.read();
   auditor.check(memory);
   auditor.check_view(view);
-  cursor.finish(view, ordered);
+  const std::vector<am::MsgId> ordered = view.by_append_time();
   AMM_ASSERT(ordered.size() >= params.k);
 
   i64 sum = 0;

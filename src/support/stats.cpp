@@ -5,24 +5,6 @@
 
 namespace amm {
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge formula.
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 std::pair<double, double> BernoulliEstimate::wilson95() const {
   if (trials_ == 0) return {0.0, 1.0};
   constexpr double z = 1.959964;

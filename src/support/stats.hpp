@@ -1,8 +1,7 @@
-// Streaming statistics, confidence intervals and the distribution tails the
-// paper's proofs rely on (normal, binomial, Poisson).
+// Bernoulli rate estimates with Wilson intervals, and the distribution tails
+// the paper's proofs rely on (normal, binomial, Poisson).
 #pragma once
 
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -11,47 +10,6 @@
 
 namespace amm {
 
-/// Welford's online mean/variance accumulator. Numerically stable; O(1)
-/// memory so millions of Monte-Carlo trials can stream through it.
-class RunningStats {
- public:
-  void add(double x) {
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-
-  void merge(const RunningStats& other);
-
-  u64 count() const { return count_; }
-  double mean() const { return mean_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
-  double variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-
-  /// Standard error of the mean.
-  double sem() const {
-    return count_ > 0 ? stddev() / std::sqrt(static_cast<double>(count_)) : 0.0;
-  }
-
-  /// Half-width of a ~95% confidence interval for the mean (1.96 sigma).
-  double ci95_half_width() const { return 1.959964 * sem(); }
-
- private:
-  u64 count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Success/failure counter with a Wilson score interval — the right tool
 /// for estimating "probability that validity holds" from Bernoulli trials.
 class BernoulliEstimate {
@@ -59,11 +17,6 @@ class BernoulliEstimate {
   void add(bool success) {
     ++trials_;
     if (success) ++successes_;
-  }
-
-  void merge(const BernoulliEstimate& other) {
-    trials_ += other.trials_;
-    successes_ += other.successes_;
   }
 
   u64 trials() const { return trials_; }

@@ -1,6 +1,6 @@
-// The log scan behind MemoryView::by_append_time() and the incremental
-// AppendOrderCursor must reproduce the old full-sort semantics *exactly*,
-// including the stable by-id tie-break among equal timestamps.
+// The log scan behind MemoryView::by_append_time() and merge_append_order
+// must reproduce the old full-sort semantics *exactly*, including the
+// stable by-id tie-break among equal timestamps.
 #include "am/order.hpp"
 
 #include <gtest/gtest.h>
@@ -138,74 +138,6 @@ TEST(AppendOrder, MergeDeltaEqualsOrderSuffix) {
   const std::vector<MsgId> delta = merge_append_order(memory, at_cut, full.lens());
   glued.insert(glued.end(), delta.begin(), delta.end());
   EXPECT_EQ(glued, whole);
-}
-
-TEST(AppendOrderCursor, BatchConcatenationEqualsFullOrder) {
-  Rng seed_rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng rng = Rng::for_stream(seed_rng.next(), static_cast<u64>(trial));
-    const u32 n = 1 + static_cast<u32>(rng.uniform_below(6));
-    AppendMemory memory(n);
-    AppendOrderCursor cursor(memory);
-    std::vector<MsgId> streamed;
-
-    const usize appends = 50 + rng.uniform_below(150);
-    SimTime now = 0.0;
-    for (usize i = 0; i < appends; ++i) {
-      if (!rng.bernoulli(0.3)) now += 0.5;
-      memory.append(NodeId{static_cast<u32>(rng.uniform_below(n))}, Vote::kPlus, 0, {}, now);
-      // Drain at irregular intervals with the protocol watermark: the
-      // latest append time is <= every future append time.
-      if (rng.bernoulli(0.4)) {
-        cursor.drain(memory.read(), memory.last_append_time(), streamed);
-      }
-    }
-    const MemoryView view = memory.read();
-    cursor.finish(view, streamed);
-    EXPECT_EQ(cursor.emitted(), streamed.size());
-    EXPECT_EQ(streamed, view.by_append_time());
-  }
-}
-
-TEST(AppendOrderCursor, WatermarkHoldsBackTies) {
-  // Messages at exactly the watermark must NOT be emitted: a later append
-  // with the same timestamp but smaller id could still arrive and would
-  // have to precede them.
-  AppendMemory memory(2);
-  memory.append(NodeId{1}, Vote::kPlus, 0, {}, 1.0);
-  AppendOrderCursor cursor(memory);
-  std::vector<MsgId> out;
-  EXPECT_EQ(cursor.drain(memory.read(), 1.0, out), 0u);
-  EXPECT_TRUE(out.empty());
-
-  memory.append(NodeId{0}, Vote::kPlus, 0, {}, 1.0);  // same instant, smaller id
-  cursor.finish(memory.read(), out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (MsgId{0, 0}));
-  EXPECT_EQ(out[1], (MsgId{1, 0}));
-}
-
-TEST(AppendOrderCursor, DrainOnGrowingPartialViews) {
-  // The cursor accepts any register-wise growing view sequence, not just
-  // full reads — as long as each watermark lower-bounds the append times of
-  // everything still hidden (the shape a stale `read_at` observer sees).
-  AppendMemory memory(3);
-  const SimTime times[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const u32 who[] = {0, 1, 2, 0, 1, 2};
-  for (usize i = 0; i < 6; ++i) {
-    memory.append(NodeId{who[i]}, Vote::kPlus, 0, {}, times[i]);
-  }
-  AppendOrderCursor cursor(memory);
-  std::vector<MsgId> out;
-  // Stale observer at horizon 3: sees t=1 and t=2 only.
-  cursor.drain(MemoryView(&memory, {1, 1, 0}), 3.0, out);
-  EXPECT_EQ(out, (std::vector<MsgId>{MsgId{0, 0}, MsgId{1, 0}}));
-  // Horizon 4: t=3 becomes visible and drains.
-  cursor.drain(MemoryView(&memory, {1, 1, 1}), 4.0, out);
-  EXPECT_EQ(out, (std::vector<MsgId>{MsgId{0, 0}, MsgId{1, 0}, MsgId{2, 0}}));
-  cursor.finish(memory.read(), out);
-  EXPECT_EQ(out, memory.read().by_append_time());
-  EXPECT_EQ(cursor.emitted(), 6u);
 }
 
 }  // namespace

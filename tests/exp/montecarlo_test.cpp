@@ -1,5 +1,7 @@
-// The Monte-Carlo harness must be reproducible regardless of thread count
-// and scheduling — the property everything in EXPERIMENTS.md rests on.
+// The Monte-Carlo harness must return the same bytes at every thread count
+// and in every completion order: trial i's result lands in slot i, and every
+// statistic is a fold over the slots in trial order — the property
+// everything in EXPERIMENTS.md rests on.
 #include "exp/montecarlo.hpp"
 
 #include <gtest/gtest.h>
@@ -49,18 +51,6 @@ TEST(EstimateRate, RateConvergesToTruth) {
   EXPECT_GT(hi, 0.7);
 }
 
-TEST(CollectStats, MeanMatchesSequential) {
-  auto run = [](unsigned threads) {
-    ThreadPool pool(threads);
-    return collect_stats(pool, 9, 5000, [](usize, Rng& rng) { return rng.normal() * 2.0 + 1.0; });
-  };
-  const auto a = run(1);
-  const auto b = run(3);
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_NEAR(a.mean(), b.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), b.variance(), 1e-9);
-}
-
 // Dynamic scheduling: every trial index runs exactly once even when the
 // workers race on the shared counter.
 TEST(EstimateRate, EveryIndexRunsExactlyOnce) {
@@ -96,32 +86,65 @@ TEST(EstimateRate, SkewedTrialDurationsStayExact) {
   EXPECT_EQ(a.successes(), b.successes());
 }
 
-TEST(CollectStats, SkewedTrialDurationsMatchSequential) {
+/// The mean of a trial-indexed result vector, folded in index order — the
+/// shape of every side statistic in bench/exp_*.
+double fold_mean(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  return sum / static_cast<double>(xs.size());
+}
+
+// Real-valued results and their fold are bit-identical at 1, 2, 4 and 8
+// threads. A merge of per-worker partials (or a shared sum taken in
+// completion order) rounds differently and fails EXPECT_EQ here.
+TEST(RunTrials, FoldIsBitIdenticalAcrossThreadCounts) {
   auto run = [](unsigned threads) {
     ThreadPool pool(threads);
-    return collect_stats(pool, 13, 64, [](usize i, Rng& rng) {
+    return run_trials(pool, 9, 5000, [](usize, Rng& rng) { return rng.normal() * 2.0 + 1.0; });
+  };
+  const std::vector<double> reference = run(1);
+  ASSERT_EQ(reference.size(), 5000u);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const std::vector<double> results = run(threads);
+    EXPECT_EQ(results, reference) << threads << " threads";
+    EXPECT_EQ(fold_mean(results), fold_mean(reference)) << threads << " threads";
+  }
+}
+
+// Skewed trial durations (slow trials scattered through the index range)
+// reorder completion, never the slots: each slot holds its own trial's
+// result and the fold reads them in trial order.
+TEST(RunTrials, SkewedTrialDurationsKeepSlotOrder) {
+  struct Sample {
+    usize index = 0;
+    double value = 0.0;
+    bool operator==(const Sample&) const = default;
+  };
+  auto run = [](unsigned threads) {
+    ThreadPool pool(threads);
+    return run_trials(pool, 13, 64, [](usize i, Rng& rng) {
       if (i % 16 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return rng.normal();
+      return Sample{i, rng.normal()};
     });
   };
-  const auto a = run(1);
-  const auto b = run(3);
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_NEAR(a.mean(), b.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), b.variance(), 1e-9);
+  const std::vector<Sample> reference = run(1);
+  for (usize i = 0; i < reference.size(); ++i) EXPECT_EQ(reference[i].index, i);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(run(threads), reference) << threads << " threads";
+  }
 }
 
-TEST(CollectStats, ZeroTrials) {
+TEST(RunTrials, ZeroTrials) {
   ThreadPool pool(2);
-  const auto stats = collect_stats(pool, 1, 0, [](usize, Rng&) { return 1.0; });
-  EXPECT_EQ(stats.count(), 0u);
+  const auto results = run_trials(pool, 1, 0, [](usize, Rng&) { return 1.0; });
+  EXPECT_TRUE(results.empty());
 }
 
-TEST(CollectStats, SingleTrial) {
+TEST(RunTrials, SingleTrial) {
   ThreadPool pool(2);
-  const auto stats = collect_stats(pool, 1, 1, [](usize, Rng&) { return 5.0; });
-  EXPECT_EQ(stats.count(), 1u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
+  const auto results = run_trials(pool, 1, 1, [](usize, Rng&) { return 5.0; });
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0], 5.0);
 }
 
 }  // namespace

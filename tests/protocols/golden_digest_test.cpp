@@ -1,19 +1,27 @@
 // Golden digests: every observable of a §5 trial at the benchmark
-// configuration (n = 64, t = 16, k = 201, λ = 1), pinned for seeds 1–16.
-// The soundness tests elsewhere accept any valid outcome; these pin the
-// exact ones, so a change that moves a tie order, a token draw or a
+// configuration (n = 64, t = 16, k = 201, λ = 1), and of one canonical run
+// of each protocol family at n = 7, t = 2, pinned for seeds 1–16. The
+// soundness tests elsewhere accept any valid outcome; these pin the exact
+// ones, so a change that moves a tie order, a token draw or a
 // floating-point time fails here even when every statistic stays plausible.
+// A trial that is not a pure function of its seed (a clock-derived seed,
+// state carried from one run into the next) fails here as well, as soon as
+// the impurity reaches an observable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "adversary/sync_strategies.hpp"
 #include "am/memory.hpp"
 #include "chain/block_graph.hpp"
 #include "chain/rules.hpp"
 #include "protocols/chain_ba.hpp"
 #include "protocols/dag_ba.hpp"
+#include "protocols/nakamoto.hpp"
+#include "protocols/sync_ba.hpp"
+#include "protocols/timestamp_ba.hpp"
 
 namespace amm::proto {
 namespace {
@@ -49,6 +57,13 @@ class Digest {
     word(out.rounds);
     word(out.byz_in_decision_set);
     word(out.decision_set_size);
+  }
+
+  void dag(const DagResult& res) {
+    outcome(res.outcome);
+    word(res.dumped);
+    word(res.omniscient_bound);
+    time(res.final_gap);
   }
 
   u64 value() const { return hash_; }
@@ -88,11 +103,7 @@ u64 dag_digest(bool full_ordering, chain::PivotRule rule) {
   params.pivot_rule = rule;
   Digest d;
   for (u64 seed = kFirstSeed; seed <= kLastSeed; ++seed) {
-    const DagResult res = run_dag_continuous(params, Rng(seed));
-    d.outcome(res.outcome);
-    d.word(res.dumped);
-    d.word(res.omniscient_bound);
-    d.time(res.final_gap);
+    d.dag(run_dag_continuous(params, Rng(seed)));
   }
   return d.value();
 }
@@ -125,6 +136,24 @@ u64 linearize_digest(chain::PivotRule rule) {
   return d.value();
 }
 
+/// Digest of `run(digest, seed)` over seeds 1–16.
+template <typename Run>
+u64 digest_seeds(const Run& run) {
+  Digest d;
+  for (u64 seed = kFirstSeed; seed <= kLastSeed; ++seed) run(d, seed);
+  return d.value();
+}
+
+/// The canonical small scenario: n = 7 with t = 2 Byzantine nodes. Each run
+/// below draws from its own stream of the seed.
+Scenario canonical_scenario() {
+  Scenario s;
+  s.n = 7;
+  s.t = 2;
+  s.correct_input = Vote::kPlus;
+  return s;
+}
+
 constexpr u64 kChainDigest = 0x92c984c4c0204531ULL;
 // One constant for the three DAG runs: the fast path is exact for every
 // field hashed here, and so is either pivot rule's linearization at this
@@ -153,6 +182,69 @@ TEST(GoldenDigest, LinearizeDagGhost) {
 
 TEST(GoldenDigest, LinearizeDagLongestChain) {
   EXPECT_EQ(linearize_digest(chain::PivotRule::kLongestChain), 0x3fa39c65ebaf4a8aULL);
+}
+
+// Algorithm 1 against the randomized split-vision equivocator: the run only
+// reproduces if the adversary's Rng stream is a pure function of the seed.
+TEST(GoldenDigest, CanonicalSyncBaSplitVision) {
+  SyncParams params;
+  params.scenario = canonical_scenario();
+  EXPECT_EQ(digest_seeds([&](Digest& d, u64 seed) {
+              adv::SplitVisionSync adversary(Vote::kMinus, Rng::for_stream(seed, 7));
+              d.outcome(run_sync_ba(params, adversary));
+            }),
+            0x57b35430debaaf25ULL);
+}
+
+TEST(GoldenDigest, CanonicalTimestampBa) {
+  TimestampParams params;
+  params.scenario = canonical_scenario();
+  params.k = 15;
+  params.lambda = 1.0;
+  EXPECT_EQ(digest_seeds([&](Digest& d, u64 seed) {
+              d.outcome(run_timestamp_ba(params, Rng::for_stream(seed, 11)));
+            }),
+            0x902d0da36f8ed6f3ULL);
+}
+
+TEST(GoldenDigest, CanonicalChainContinuousRushExtend) {
+  ChainParams params;
+  params.scenario = canonical_scenario();
+  params.k = 15;
+  params.lambda = 0.5;
+  params.tie_break = chain::TieBreak::kRandomized;
+  params.adversary = ChainAdversary::kRushExtend;
+  EXPECT_EQ(digest_seeds([&](Digest& d, u64 seed) {
+              d.outcome(run_chain_continuous(params, Rng::for_stream(seed, 13)));
+            }),
+            0x8a85050352b1bffaULL);
+}
+
+TEST(GoldenDigest, CanonicalDagRateAndWithhold) {
+  DagParams params;
+  params.scenario = canonical_scenario();
+  params.k = 15;
+  params.lambda = 0.5;
+  params.adversary = DagAdversary::kRateAndWithhold;
+  EXPECT_EQ(digest_seeds([&](Digest& d, u64 seed) {
+              d.dag(run_dag_continuous(params, Rng::for_stream(seed, 17)));
+            }),
+            0x7b7a6412c0634e52ULL);
+}
+
+TEST(GoldenDigest, CanonicalNakamotoDoubleSpend) {
+  NakamotoParams params;
+  params.scenario = canonical_scenario();
+  params.confirmation_depth = 4;
+  EXPECT_EQ(digest_seeds([&](Digest& d, u64 seed) {
+              const NakamotoResult res = run_double_spend_race(params, Rng::for_stream(seed, 19));
+              d.word(res.terminated ? 1 : 0);
+              d.word(res.reversed ? 1 : 0);
+              d.word(res.blocks_to_confirm);
+              d.time(res.time_to_confirm);
+              d.word(static_cast<u64>(res.final_lead));
+            }),
+            0x31c8ccaa037e3c08ULL);
 }
 
 }  // namespace

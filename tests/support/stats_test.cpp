@@ -9,60 +9,6 @@
 namespace amm {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownValues) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of the classic dataset is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal() * 3.0 + 1.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(RunningStats, CiShrinksWithSamples) {
-  RunningStats small, large;
-  Rng rng(2);
-  for (int i = 0; i < 100; ++i) small.add(rng.normal());
-  for (int i = 0; i < 10'000; ++i) large.add(rng.normal());
-  EXPECT_LT(large.ci95_half_width(), small.ci95_half_width());
-}
-
 TEST(BernoulliEstimate, RateAndInterval) {
   BernoulliEstimate e;
   for (int i = 0; i < 70; ++i) e.add(true);
@@ -80,16 +26,6 @@ TEST(BernoulliEstimate, EmptyIntervalIsVacuous) {
   const auto [lo, hi] = e.wilson95();
   EXPECT_EQ(lo, 0.0);
   EXPECT_EQ(hi, 1.0);
-}
-
-TEST(BernoulliEstimate, MergeAddsCounts) {
-  BernoulliEstimate a, b;
-  a.add(true);
-  b.add(false);
-  b.add(true);
-  a.merge(b);
-  EXPECT_EQ(a.trials(), 3u);
-  EXPECT_EQ(a.successes(), 2u);
 }
 
 TEST(NormalCdf, KnownValues) {

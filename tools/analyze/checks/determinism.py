@@ -2,7 +2,7 @@
 
 The paper's randomized-access results (Thms 5.4/5.6) and every experiment
 table are only reproducible if a trial is a pure function of its seed
-(docs/ANALYSIS.md §3, `check::audit_determinism`). Three value sources
+(docs/ANALYSIS.md §3, `GoldenDigest.*`). Three value sources
 break that silently:
 
   * iteration order of `std::unordered_*` containers (implementation-
@@ -118,7 +118,7 @@ def _scan_file(sf: SourceFile, unordered: Set[str], findings: List[Finding]) -> 
                 sf.display, line, "determinism-taint",
                 f"{what} — iteration/identity order is not a function of the seed, "
                 "so any protocol decision fed from it breaks reproducible schedules "
-                "(Thm 5.4/5.6 experiments, check::audit_determinism); iterate a "
+                "(Thm 5.4/5.6 experiments, GoldenDigest.*); iterate a "
                 "sorted or append-ordered copy, use support/rng.hpp streams, or "
                 "annotate an order-insensitive fold with "
                 "// analyze:allow(determinism-taint): <why>"))
