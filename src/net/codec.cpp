@@ -78,14 +78,6 @@ std::optional<mp::SignedAppend> decode_record(Decoder& dec) {
 
 namespace {
 
-void store_u32(u8* dst, u32 v) {
-  for (int i = 0; i < 4; ++i) dst[i] = static_cast<u8>(v >> (8 * i));
-}
-
-void store_u64(u8* dst, u64 v) {
-  for (int i = 0; i < 8; ++i) dst[i] = static_cast<u8>(v >> (8 * i));
-}
-
 u32 load_u32(const u8* src) {
   u32 v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<u32>(src[i]) << (8 * i);
@@ -99,17 +91,6 @@ u64 load_u64(const u8* src) {
 }
 
 }  // namespace
-
-usize encode_record_to(std::span<u8> dst, const mp::SignedAppend& rec) {
-  AMM_EXPECTS(dst.size() >= mp::kWireRecordBytes);
-  u8* p = dst.data();
-  store_u32(p, rec.author.index);
-  store_u32(p + 4, rec.seq);
-  store_u64(p + 8, static_cast<u64>(rec.value));
-  store_u32(p + 16, rec.sig.signer.index);
-  store_u64(p + 20, rec.sig.tag);
-  return mp::kWireRecordBytes;
-}
 
 std::optional<mp::SignedAppend> decode_record_from(std::span<const u8> src) {
   if (src.size() < mp::kWireRecordBytes) return std::nullopt;

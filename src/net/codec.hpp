@@ -82,12 +82,6 @@ class Decoder {
 void encode_record(Encoder& enc, const mp::SignedAppend& rec);
 std::optional<mp::SignedAppend> decode_record(Decoder& dec);
 
-/// Zero-copy record write: serializes `rec` into the first
-/// mp::kWireRecordBytes of `dst` (which must be at least that large) with
-/// no intermediate buffer. Returns the bytes written. Byte-identical to
-/// encode_record, pinned by tests/net/codec_test.cpp.
-usize encode_record_to(std::span<u8> dst, const mp::SignedAppend& rec);
-
 /// Zero-copy record read: decodes the first mp::kWireRecordBytes of `src`
 /// (a borrowed view into a receive buffer or arena page); nullopt when
 /// `src` is shorter than one record.

@@ -202,12 +202,7 @@ bool FileLog::open_store() {
     }
     const auto image = read_file(seg.path);
     if (!image) return fail("read " + seg.path);
-    const usize valid = scan_segment_image(*image, [&](const mp::SignedAppend& rec) {
-      ++seg.records;
-      auto& entry = author_index_[rec.author.index];
-      ++entry.records;
-      entry.max_seq = std::max(entry.max_seq, rec.seq);
-    });
+    const usize valid = scan_segment_image(*image, [&](const mp::SignedAppend&) { ++seg.records; });
     seg.bytes = valid;
     if (valid != image->size()) {
       if (i + 1 != seg_names.size()) {
@@ -293,9 +288,6 @@ bool FileLog::append(const mp::SignedAppend& rec) {
   ++next_log_seq_;
   stats_.log_bytes += frame.size();
   ++stats_.log_records;
-  auto& entry = author_index_[rec.author.index];
-  ++entry.records;
-  entry.max_seq = std::max(entry.max_seq, rec.seq);
   return maybe_fsync();
 }
 
@@ -326,17 +318,10 @@ bool FileLog::write_snapshot(const mp::Snapshot& snap) {
   ++stats_.snapshot_count;
 
   // Closed segments entirely below the snapshot are dead weight: replay
-  // starts at snap.log_seq. Re-scan each before deleting so the author
-  // index keeps counting only retained records.
+  // starts at snap.log_seq.
   while (segments_.size() > 1 &&
          segments_.front().first_seq + segments_.front().records <= snap.log_seq) {
     Segment& seg = segments_.front();
-    if (const auto old = read_file(seg.path)) {
-      scan_segment_image(*old, [&](const mp::SignedAppend& rec) {
-        const auto it = author_index_.find(rec.author.index);
-        if (it != author_index_.end() && it->second.records > 0) --it->second.records;
-      });
-    }
     ::unlink(seg.path.c_str());
     stats_.log_bytes -= seg.bytes;
     stats_.log_records -= seg.records;

@@ -21,7 +21,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mp/storage.hpp"
@@ -33,14 +32,6 @@ struct FileLogConfig {
   mp::FsyncPolicy fsync = mp::FsyncPolicy::kInterval;
   u32 fsync_interval = 64;         ///< appends between fdatasyncs (kInterval)
   usize segment_bytes = 4u << 20;  ///< roll the active segment beyond this
-};
-
-/// One author's slice of the log index. `records` counts retained log
-/// records; `max_seq` is the highest seq observed since open (monotone —
-/// pruning does not lower it).
-struct AuthorIndexEntry {
-  u64 records = 0;
-  u32 max_seq = 0;
 };
 
 class FileLog final : public mp::Storage {
@@ -55,9 +46,6 @@ class FileLog final : public mp::Storage {
   /// the node keeps serving from memory.
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
-
-  /// The per-author sequence index over the retained log.
-  const std::unordered_map<u32, AuthorIndexEntry>& author_index() const { return author_index_; }
 
   bool append(const mp::SignedAppend& rec) override;
   std::optional<mp::Snapshot> load_snapshot() override { return snapshot_; }
@@ -88,7 +76,6 @@ class FileLog final : public mp::Storage {
   u32 appends_since_sync_ = 0;
   std::optional<mp::Snapshot> snapshot_;
   std::string snapshot_file_;
-  std::unordered_map<u32, AuthorIndexEntry> author_index_;
   mp::StorageStats stats_;
   bool ok_ = true;
   std::string error_;

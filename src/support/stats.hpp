@@ -1,5 +1,5 @@
-// Bernoulli rate estimates with Wilson intervals, and the distribution tails
-// the paper's proofs rely on (normal, binomial, Poisson).
+// Bernoulli rate estimates with Wilson intervals, the standard normal CDF
+// and a least-squares line fit.
 #pragma once
 
 #include <utility>
@@ -36,19 +36,6 @@ class BernoulliEstimate {
 
 /// Standard normal CDF Φ(x).
 double normal_cdf(double x);
-
-/// Upper tail of the standard normal, Q(x) = 1 - Φ(x).
-double normal_upper_tail(double x);
-
-/// log of the binomial coefficient C(n, k), via lgamma.
-double log_binomial(u64 n, u64 k);
-
-/// Exact binomial tail Pr[X <= k] for X ~ Bin(n, p); switches to a normal
-/// approximation for n > 10^4 where exact summation is pointless.
-double binomial_cdf(u64 k, u64 n, double p);
-
-/// Poisson upper tail Pr[X >= k] for X ~ Pois(mu).
-double poisson_upper_tail(u64 k, double mu);
 
 /// Ordinary least squares fit y ≈ a + b·x; returns {a, b, r²}.
 struct LinearFit {

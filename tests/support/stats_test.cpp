@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "support/rng.hpp"
 
 namespace amm {
@@ -32,48 +30,12 @@ TEST(NormalCdf, KnownValues) {
   EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(normal_cdf(1.959964), 0.975, 1e-6);
   EXPECT_NEAR(normal_cdf(-1.959964), 0.025, 1e-6);
-  EXPECT_NEAR(normal_upper_tail(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(normal_upper_tail(3.0), 0.00135, 1e-5);
 }
 
 TEST(NormalCdf, Symmetry) {
   for (const double x : {0.3, 1.1, 2.7}) {
     EXPECT_NEAR(normal_cdf(x) + normal_cdf(-x), 1.0, 1e-12);
   }
-}
-
-TEST(LogBinomial, SmallCases) {
-  EXPECT_NEAR(std::exp(log_binomial(5, 2)), 10.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(10, 0)), 1.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(10, 10)), 1.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(52, 5)), 2'598'960.0, 1.0);
-}
-
-TEST(BinomialCdf, ExactSmall) {
-  // X ~ Bin(4, 0.5): P[X <= 1] = (1 + 4)/16.
-  EXPECT_NEAR(binomial_cdf(1, 4, 0.5), 5.0 / 16.0, 1e-12);
-  EXPECT_NEAR(binomial_cdf(4, 4, 0.5), 1.0, 1e-12);
-  EXPECT_NEAR(binomial_cdf(0, 3, 0.25), std::pow(0.75, 3), 1e-12);
-}
-
-TEST(BinomialCdf, DegenerateP) {
-  EXPECT_DOUBLE_EQ(binomial_cdf(3, 10, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_cdf(3, 10, 1.0), 0.0);
-}
-
-TEST(BinomialCdf, NormalApproxAgreesWithExactNearCrossover) {
-  // Just below the switch to the approximation; compare both regimes.
-  const double exact = binomial_cdf(5000, 10'000, 0.5);
-  EXPECT_NEAR(exact, 0.5, 0.02);
-}
-
-TEST(PoissonUpperTail, Basics) {
-  EXPECT_DOUBLE_EQ(poisson_upper_tail(0, 5.0), 1.0);
-  EXPECT_DOUBLE_EQ(poisson_upper_tail(3, 0.0), 0.0);
-  // P[X >= 1] = 1 - e^-mu.
-  EXPECT_NEAR(poisson_upper_tail(1, 2.0), 1.0 - std::exp(-2.0), 1e-12);
-  // Tail decreases in k.
-  EXPECT_GT(poisson_upper_tail(2, 3.0), poisson_upper_tail(5, 3.0));
 }
 
 TEST(FitLinear, PerfectLine) {

@@ -196,8 +196,8 @@ IdleSet open_idle(const std::string& host, const std::vector<u16>& ports, usize 
       break;
     }
     idle_conns.fds.push_back(fd);
-    if ((i + 1) % 256 == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));  // lint:allow(banned-sleep)
+    if ((i + 1) % 256 == 0)  // analyze:allow(banned-sleep): paces a real kernel's accept queues
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   if (idle_conns.fds.size() < idle) {
     std::fprintf(stderr, "amm_swarm: only %zu/%zu idle connections opened\n",
@@ -206,8 +206,8 @@ IdleSet open_idle(const std::string& host, const std::vector<u16>& ports, usize 
   // Let the servers drain their accept queues before any rung's clock starts.
   // Wall-clock is fine here: this is a benchmark client pacing a real kernel,
   // not protocol code under simulated time.
-  if (!idle_conns.fds.empty())
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // lint:allow(banned-sleep)
+  if (!idle_conns.fds.empty())  // analyze:allow(banned-sleep): client pacing, see above
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
   return idle_conns;
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""amm_analyze — AST-level protocol-safety analyzer for this repository.
+"""amm_analyze — the repository's static analyzer.
 
-Six checks, one module each (tools/analyze/checks/), documented rule by
-rule in docs/ANALYSIS.md §5:
+Seven checks, one module each (tools/analyze/checks/), documented rule by
+rule in docs/ANALYSIS.md §4:
 
   codec_bounds  codec-bounds, codec-consistency
   exhaustive    switch-exhaustive, switch-default
@@ -10,9 +10,12 @@ rule in docs/ANALYSIS.md §5:
   lockorder     lock-cycle, lock-blocking
   loopblock     loop-blocking
   growth        unbounded-growth
+  hygiene       banned-sleep, pragma-once, include-order, no-artifacts
 
-The front end (cpp_model.py) is a pure-Python C++ tokenizer + structural
-extractors with no dependency beyond the standard library.
+Every rule but no-artifacts reads src/ and tools/; the layout rules
+(pragma-once, include-order) also read bench/ and tests/, and no-artifacts
+reads the git index. The front end (cpp_model.py) is a pure-Python C++ tokenizer +
+structural extractors with no dependency beyond the standard library.
 
 Usage:
   amm_analyze.py [--root DIR] [--checks a,b] [--github] [--cache-dir DIR]
@@ -32,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from typing import Dict, List, Optional, Set
 
@@ -43,6 +47,7 @@ from analysis import AnalysisModel, Finding  # noqa: E402
 from checks import ALL_RULES, CHECKS  # noqa: E402
 
 ANALYZE_DIRS = ("src", "tools")
+LAYOUT_DIRS = ("bench", "tests")  # read by the layout rules only
 EXCLUDE_DIRS = ("selftest",)  # the seeded-violation corpus is not production code
 CACHE_VERSION = "1"
 
@@ -50,6 +55,8 @@ CACHE_VERSION = "1"
 #
 # bad_* files must fire exactly the listed rules; clean_* twins must be
 # silent. Exact-set matching catches false positives on the bad files too.
+# A *.ls-files file is a `git ls-files` listing (the input of no-artifacts);
+# every other file is C++ source, read as both a parsed and a layout file.
 SELF_TEST_EXPECT: Dict[str, Set[str]] = {
     "bad_codec_bounds.cpp": {"codec-bounds"},
     "clean_codec_bounds.cpp": set(),
@@ -69,6 +76,18 @@ SELF_TEST_EXPECT: Dict[str, Set[str]] = {
     "clean_loop.cpp": set(),
     "bad_growth.cpp": {"unbounded-growth"},
     "clean_growth.cpp": set(),
+    "bad_rand.cpp": {"determinism-taint"},
+    "clean_rand.cpp": set(),
+    "bad_sleep.cpp": {"banned-sleep"},
+    "clean_sleep.cpp": set(),
+    "bad_pragma.hpp": {"pragma-once"},
+    "clean_pragma.hpp": set(),
+    "bad_order.cpp": {"include-order"},
+    "clean_order.cpp": set(),
+    "bad_order_test.cpp": {"include-order"},
+    "clean_order_test.cpp": set(),
+    "bad_artifacts.ls-files": {"no-artifacts"},
+    "clean_artifacts.ls-files": set(),
 }
 
 
@@ -90,8 +109,13 @@ def self_test() -> int:
             failures.append(f"{name}: corpus file missing")
             continue
         with open(path, encoding="utf-8") as fh:
-            sf = cpp_model.SourceFile(path, fh.read(), display=name)
-        model = AnalysisModel([sf])  # each corpus file is a self-contained model
+            text = fh.read()
+        # Each corpus file is a self-contained model.
+        if name.endswith(".ls-files"):
+            model = AnalysisModel([], tracked=[p for p in text.splitlines()
+                                               if p and not p.startswith("#")])
+        else:
+            model = AnalysisModel([cpp_model.SourceFile(path, text, display=name)])
         fired = {f.rule for f in run_checks(model, None)}
         expected = SELF_TEST_EXPECT[name]
         if fired != expected:
@@ -112,7 +136,21 @@ def self_test() -> int:
     return 0
 
 
-def _cache_key(files) -> str:
+def tracked_paths(root: str) -> List[str]:
+    """The paths in root's git index; none outside a git checkout (a
+    tarball has no index to check)."""
+    try:
+        out = subprocess.run(["git", "ls-files"], cwd=root, capture_output=True,
+                             text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return []
+    return out.splitlines()
+
+
+def _cache_key(model: AnalysisModel) -> str:
+    """Hashes everything the checks read: the analyzer's own sources, every
+    file's path and text, and the git index (a tracked `build/x.o` changes
+    no source, but it changes what no-artifacts must report)."""
     h = hashlib.sha256()
     h.update(CACHE_VERSION.encode())
     for mod_dir in (HERE, os.path.join(HERE, "checks")):
@@ -120,9 +158,10 @@ def _cache_key(files) -> str:
             if fn.endswith(".py"):
                 with open(os.path.join(mod_dir, fn), "rb") as fh:
                     h.update(fh.read())
-    for sf in files:
-        h.update(sf.display.encode())
-        h.update(hashlib.sha256(sf.text.encode()).digest())
+    for tf in model.layout_files:
+        h.update(tf.display.encode())
+        h.update(hashlib.sha256(tf.text.encode()).digest())
+    h.update(hashlib.sha256("\n".join(model.tracked).encode()).digest())
     return h.hexdigest()
 
 
@@ -130,9 +169,12 @@ def analyze(root: str, only: Optional[Set[str]], cache_dir: Optional[str]) -> Li
     files = cpp_model.load_tree(root, ANALYZE_DIRS, exclude=EXCLUDE_DIRS)
     if not files:
         raise SystemExit(f"amm_analyze: no sources under {root}/{{{','.join(ANALYZE_DIRS)}}}")
+    layout = cpp_model.load_tree(root, LAYOUT_DIRS, exclude=EXCLUDE_DIRS,
+                                 make=cpp_model.TextFile)
+    model = AnalysisModel(files, layout, tracked_paths(root))
     cache_path = None
     if cache_dir:
-        key = _cache_key(files)
+        key = _cache_key(model)
         if only:
             key = hashlib.sha256((key + ",".join(sorted(only))).encode()).hexdigest()
         os.makedirs(cache_dir, exist_ok=True)
@@ -140,7 +182,7 @@ def analyze(root: str, only: Optional[Set[str]], cache_dir: Optional[str]) -> Li
         if os.path.exists(cache_path):
             with open(cache_path, encoding="utf-8") as fh:
                 return [Finding(**f) for f in json.load(fh)]
-    findings = run_checks(AnalysisModel(files), only)
+    findings = run_checks(model, only)
     if cache_path:
         with open(cache_path, "w", encoding="utf-8") as fh:
             json.dump([f._asdict() for f in findings], fh)
@@ -153,8 +195,8 @@ def main() -> int:
     ap.add_argument("--root", default=os.path.normpath(os.path.join(HERE, "..", "..")),
                     help="repository root (default: two levels above this script)")
     ap.add_argument("--checks", default=None,
-                    help="comma-separated module subset (codec_bounds,exhaustive,"
-                         "determinism,lockorder)")
+                    help="comma-separated module subset ("
+                         + ", ".join(mod.NAME for mod in CHECKS) + ")")
     ap.add_argument("--github", action="store_true",
                     help="also emit ::error GitHub annotations")
     ap.add_argument("--cache-dir", default=None,

@@ -2,7 +2,9 @@
 
 The model aggregates per-file facts (cpp_model.SourceFile) into the global
 registries the checks need: enum definitions, function definitions by name
-and folded integer constants.
+and folded integer constants. It also carries what the hygiene rules read
+beyond the parsed files: the raw lines of bench/ and tests/ and the paths in
+the git index.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import cpp_model
-from cpp_model import EnumDef, Function, SourceFile
+from cpp_model import EnumDef, Function, SourceFile, TextFile
 
 
 class Finding(NamedTuple):
@@ -28,8 +30,14 @@ class Finding(NamedTuple):
 
 
 class AnalysisModel:
-    def __init__(self, files: Sequence[SourceFile]):
+    def __init__(self, files: Sequence[SourceFile], layout_only: Sequence[TextFile] = (),
+                 tracked: Sequence[str] = ()):
+        # Every rule reads `files` (src/ and tools/). The layout rules also
+        # read `layout_only` (bench/ and tests/, unparsed); no-artifacts
+        # reads `tracked` (`git ls-files`).
         self.files = list(files)
+        self.layout_files: List[TextFile] = self.files + list(layout_only)
+        self.tracked = list(tracked)
         self.consts = cpp_model.collect_constants(self.files)
         self.enums: Dict[Tuple[str, ...], EnumDef] = {}
         for sf in self.files:
@@ -39,38 +47,8 @@ class AnalysisModel:
         for sf in self.files:
             for fn in sf.functions:
                 self.functions.setdefault(fn.name, []).append((sf, fn))
-        # enumerator name -> enum paths containing it (for membership fallback)
-        self.enum_of: Dict[str, Set[Tuple[str, ...]]] = {}
-        for path, e in self.enums.items():
-            for name in e.enumerators:
-                self.enum_of.setdefault(name, set()).add(path)
 
     # ---- enum resolution ----
-
-    def resolve_enum(self, label: Sequence[str]) -> Optional[EnumDef]:
-        """Resolves a case label like mp::WireMessage::Kind::kAppend to its
-        enum. Tries suffix matching on the scope path, then unique-membership
-        of the enumerator name."""
-        parts = [p for p in label if p != "::"]
-        # Strip cast noise: `static_cast<u8>(X)` style labels don't occur in
-        # case position in this codebase, but integer labels do.
-        if not parts or not parts[-1].isidentifier():
-            return None
-        enumerator = parts[-1]
-        scope = tuple(parts[:-1])
-        if scope:
-            best: Optional[EnumDef] = None
-            for path, e in self.enums.items():
-                if len(path) >= len(scope) and path[-len(scope):] == scope:
-                    if enumerator in e.enumerators:
-                        if best is None or len(path) > len(best.path):
-                            best = e
-            if best:
-                return best
-        owners = self.enum_of.get(enumerator, set())
-        if len(owners) == 1:
-            return self.enums[next(iter(owners))]
-        return None
 
     def resolve_switch_enum(self, labels: Sequence[Sequence[str]]) -> Optional[EnumDef]:
         """Resolves the enum a switch dispatches over from ALL its case

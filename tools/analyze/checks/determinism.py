@@ -12,15 +12,18 @@ break that silently:
     differ per run);
   * randomness that does not come from `support/rng.hpp` streams
     (`std::mt19937`, `std::random_device`, ... are unseeded or globally
-    seeded and escape the (master seed, stream) discipline).
+    seeded and escape the (master seed, stream) discipline), and, in
+    every file, libc's global generator (`std::rand`, `srand(`, `rand()`)
+    or a clock seed (`time(nullptr)`, `time(NULL)`, `time(0)`). These are
+    matched on tokens: a member such as `token.time` is not a call.
 
-This check supersedes the old regex `unordered-iter` lint rule with
-structural reach: direct and member range-fors (including structured
-bindings), iterator loops (`for (auto it = m.begin(); ...)`), order-
-sensitive `<algorithm>` calls fed from `unordered begin()`, and local
-references aliasing an unordered container. Building a *sorted or
-otherwise canonicalized copy* before iterating is the sanctioned pattern;
-a deliberately order-insensitive fold is annotated
+Unordered iteration is caught with structural reach: direct and member
+range-fors (including structured bindings), iterator loops
+(`for (auto it = m.begin(); ...)`), order-sensitive `<algorithm>` calls
+fed from `unordered begin()`, and local references aliasing an unordered
+container. Building a *sorted or otherwise canonicalized copy* before
+iterating is the sanctioned pattern; a deliberately order-insensitive fold
+is annotated
 `// analyze:allow(determinism-taint): <why order cannot matter>`.
 """
 
@@ -30,7 +33,7 @@ import re
 from typing import List, Sequence, Set
 
 from analysis import AnalysisModel, Finding
-from cpp_model import SourceFile, match_forward
+from cpp_model import SourceFile, Token, match_forward
 
 NAME = "determinism"
 RULES = {
@@ -54,6 +57,24 @@ FOREIGN_RNG = {
 }
 #: The one home randomness is allowed to have.
 RNG_HOME = re.compile(r"(^|/)support/rng\.(hpp|cpp)$")
+
+
+def _libc_random(toks: Sequence[Token], i: int) -> str:
+    """Names libc randomness or a clock seed at token i, else ''."""
+    v = toks[i].value
+    if v not in ("rand", "srand", "time"):
+        return ""
+    nxt = [t.value for t in toks[i + 1 : i + 4]]
+    if v == "rand" and i >= 2 and toks[i - 1].value == "::" and toks[i - 2].value == "std":
+        return "std::rand — use amm::Rng (support/rng.hpp)"
+    if v == "srand" and nxt[:1] == ["("]:
+        return "srand — use amm::Rng::for_stream for seeding"
+    if v == "rand" and nxt[:2] == ["(", ")"]:
+        return "rand() — use amm::Rng (support/rng.hpp)"
+    if v == "time" and len(nxt) == 3 and nxt[0] == "(" \
+            and nxt[1] in ("nullptr", "NULL", "0") and nxt[2] == ")":
+        return "time(nullptr) seeding — seeds must be explicit and reproducible"
+    return ""
 
 
 def _unordered_names(model: AnalysisModel) -> Set[str]:
@@ -116,7 +137,7 @@ def _scan_file(sf: SourceFile, unordered: Set[str], findings: List[Finding]) -> 
         if not sf.allowed(line, "determinism-taint"):
             findings.append(Finding(
                 sf.display, line, "determinism-taint",
-                f"{what} — iteration/identity order is not a function of the seed, "
+                f"{what} — the order or draw is not a function of the seed, "
                 "so any protocol decision fed from it breaks reproducible schedules "
                 "(Thm 5.4/5.6 experiments, GoldenDigest.*); iterate a "
                 "sorted or append-ordered copy, use support/rng.hpp streams, or "
@@ -174,9 +195,13 @@ def _scan_file(sf: SourceFile, unordered: Set[str], findings: List[Finding]) -> 
             if key_end > i + 2 and toks[key_end - 1].value == "*":
                 report(t.line, f"std::{t.value} keyed by raw pointer")
 
-    # (5) Randomness outside support/rng.hpp streams.
-    if not rng_home:
-        for t in toks:
-            if t.kind == "id" and t.value in FOREIGN_RNG:
-                report(t.line, f"std::{t.value} outside support/rng — draws escape the "
-                               "(master seed, stream) discipline")
+    # (5) Randomness outside support/rng.hpp streams: foreign engines
+    # outside its home, libc's generator and clock seeds anywhere.
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        if t.value in FOREIGN_RNG and not rng_home:
+            report(t.line, f"std::{t.value} outside support/rng — draws escape the "
+                           "(master seed, stream) discipline")
+        elif what := _libc_random(toks, i):
+            report(t.line, what)

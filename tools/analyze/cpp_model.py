@@ -4,12 +4,15 @@ This is the analyzer's only front end: a tokenizer plus a handful of
 structural extractors (enums, switches, function bodies, loops,
 declarations, constant folding) that turn a translation unit into facts the
 checks consume. It is deliberately not a full C++ parser — it understands
-exactly the shapes this repository uses (see docs/ANALYSIS.md §5) and needs
+exactly the shapes this repository uses (see docs/ANALYSIS.md §4) and needs
 nothing beyond the Python standard library.
 
 Guarantees the checks rely on:
   * comments and string/char literals never produce tokens (so prose cannot
-    trigger rules), but `analyze:allow(...)` comments are collected per line;
+    trigger rules), but `analyze:allow(...)` comments are collected per line
+    (TextFile.allow);
+  * preprocessor directives produce no tokens either: the rules about
+    `#include` and `#pragma` read a file's raw lines (TextFile.lines);
   * every brace/paren/bracket is matched, so block extents are exact;
   * enum and function extraction records the enclosing namespace/class path.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Type
 
 
 class Token(NamedTuple):
@@ -36,18 +39,19 @@ MULTI_PUNCT = (
 )
 
 
-def lex(text: str) -> Tuple[List[Token], Dict[int, Set[str]]]:
-    """Tokenizes C++ source; returns (tokens, allow-lines).
-
-    allow-lines maps a 1-based line number to the set of rule names named in
-    an `// analyze:allow(rule[, rule...])` comment on that line.
-    """
+def allow_lines(lines: Sequence[str]) -> Dict[int, Set[str]]:
+    """Maps a 1-based line number to the set of rule names named in an
+    `// analyze:allow(rule[, rule...])` comment on that line."""
     allow: Dict[int, Set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         m = ALLOW_RE.search(raw)
         if m:
             allow[lineno] = {r.strip() for r in m.group("rules").split(",") if r.strip()}
+    return allow
 
+
+def lex(text: str) -> List[Token]:
+    """Tokenizes C++ source."""
     tokens: List[Token] = []
     i, n, line = 0, len(text), 1
     while i < n:
@@ -124,7 +128,7 @@ def lex(text: str) -> Tuple[List[Token], Dict[int, Set[str]]]:
         else:
             tokens.append(Token("punct", c, line))
             i += 1
-    return tokens, allow
+    return tokens
 
 
 def match_forward(tokens: Sequence[Token], i: int, open_: str, close: str) -> int:
@@ -181,18 +185,15 @@ class VarDecl(NamedTuple):
     line: int
 
 
-class SourceFile:
-    """One parsed file: tokens plus the structural facts extracted from it."""
+class TextFile:
+    """One file's raw lines and allow comments: all a layout rule reads."""
 
     def __init__(self, path: str, text: str, display: Optional[str] = None):
         self.path = path
         self.display = display or path
         self.text = text
-        self.tokens, self.allow = lex(text)
-        self._scopes = self._scope_map()
-        self.enums = self._extract_enums()
-        self.functions = self._extract_functions()
-        self.switches = self._extract_switches()
+        self.lines = text.splitlines()
+        self.allow = allow_lines(self.lines)
 
     def allowed(self, line: int, rule: str) -> bool:
         """A finding is suppressed by an allow comment on its line or the
@@ -201,6 +202,18 @@ class SourceFile:
             if rule in self.allow.get(candidate, set()):
                 return True
         return False
+
+
+class SourceFile(TextFile):
+    """One parsed file: tokens plus the structural facts extracted from it."""
+
+    def __init__(self, path: str, text: str, display: Optional[str] = None):
+        super().__init__(path, text, display)
+        self.tokens = lex(text)
+        self._scopes = self._scope_map()
+        self.enums = self._extract_enums()
+        self.functions = self._extract_functions()
+        self.switches = self._extract_switches()
 
     # ---- scope tracking ----
 
@@ -652,10 +665,12 @@ def collect_constants(files: Iterable[SourceFile]) -> Dict[str, int]:
 SOURCE_EXTS = (".hpp", ".cpp", ".cc", ".hh", ".h")
 
 
-def load_tree(root: str, subdirs: Sequence[str], exclude: Sequence[str] = ()) -> List[SourceFile]:
-    """Parses every C++ source under root/<subdir>, skipping excluded path
-    fragments (e.g. the self-test corpus)."""
-    out: List[SourceFile] = []
+def load_tree(root: str, subdirs: Sequence[str], exclude: Sequence[str] = (),
+              make: Type[TextFile] = SourceFile) -> List[TextFile]:
+    """Loads every C++ source under root/<subdir> as `make` (parsed
+    SourceFiles by default, raw TextFiles on request), skipping excluded
+    path fragments (e.g. the self-test corpus)."""
+    out: List[TextFile] = []
     for top in subdirs:
         base = os.path.join(root, top)
         for dirpath, dirnames, filenames in os.walk(base):
@@ -669,5 +684,5 @@ def load_tree(root: str, subdirs: Sequence[str], exclude: Sequence[str] = ()) ->
                     full = os.path.join(dirpath, fn)
                     with open(full, encoding="utf-8", errors="replace") as fh:
                         text = fh.read()
-                    out.append(SourceFile(full, text, os.path.relpath(full, root)))
+                    out.append(make(full, text, os.path.relpath(full, root)))
     return out
