@@ -37,6 +37,28 @@ class AppendMemory {
 
   u32 node_count() const { return static_cast<u32>(registers_.size()); }
 
+  /// Empties the memory and gives it `node_count` registers, as a fresh
+  /// AppendMemory(node_count) would have, but keeps every buffer's
+  /// capacity: a memory reused trial after trial on one thread appends
+  /// without allocating once it has held a trial as large. Every Message,
+  /// Register, view and refs span of the old contents is invalid after.
+  void clear(u32 node_count) {
+    AMM_EXPECTS(node_count > 0);
+    log_.clear();
+    registers_.resize(node_count);
+    for (auto& positions : registers_) positions.clear();
+    // One chunk as large as all of the last contents' chunks together.
+    if (ref_chunks_.size() > 1) {
+      usize total = 0;
+      for (const auto& chunk : ref_chunks_) total += chunk.capacity();
+      ref_chunks_.clear();
+      ref_chunks_.emplace_back().reserve(total);
+    } else if (!ref_chunks_.empty()) {
+      ref_chunks_.front().clear();
+    }
+    last_append_time_ = 0.0;
+  }
+
   /// M.append(msg): appends to `author`'s register at simulated time `now`.
   ///
   /// Per the model, refs point at a *previous state* of the memory: each
@@ -85,9 +107,19 @@ class AppendMemory {
   /// The view an observer had at time `time`: everything appended strictly
   /// before `time`. Used to model read/append staleness without copying.
   MemoryView read_at(SimTime time) const {
+    // Append times never decrease along the log, so the messages appended
+    // before `time` are a log prefix: find its end once, then count each
+    // register's positions below it.
+    const auto cut = static_cast<u32>(
+        std::partition_point(log_.begin(), log_.end(),
+                             [&](const Message& m) { return m.appended_at < time; }) -
+        log_.begin());
     std::vector<u32> lens;
     lens.reserve(registers_.size());
-    for (u32 r = 0; r < node_count(); ++r) lens.push_back(reg(r).size_at(time));
+    for (const auto& positions : registers_) {
+      lens.push_back(static_cast<u32>(
+          std::lower_bound(positions.begin(), positions.end(), cut) - positions.begin()));
+    }
     return MemoryView(this, std::move(lens));
   }
 

@@ -16,7 +16,65 @@ void reserve_at_least(std::vector<T>& v, usize need) {
   if (v.capacity() < need) v.reserve(std::max(need, 2 * v.capacity()));
 }
 
+/// Turns per-slot counts into running ends: offsets[s] becomes the end of
+/// slot s's range. Filling the ranges back to front then leaves offsets[s]
+/// at the start of slot s's range.
+void counts_to_ends(std::vector<u32>& offsets) {
+  u32 total = 0;
+  for (u32& end : offsets) {
+    total += end;
+    end = total;
+  }
+}
+
 }  // namespace
+
+void BlockGraph::clear() {
+  view_ = MemoryView();
+  nodes_.clear();
+  order_.clear();
+  ref_ids_.clear();
+  ref_pos_.clear();
+  deepest_.clear();
+  max_depth_ = 0;
+  pending_.clear();
+  children_valid_ = false;
+  weights_valid_ = false;
+  topo_valid_ = false;
+}
+
+void BlockGraph::grow_rows(const MemoryView& newer) {
+  const u32 regs = newer.register_count();
+  const auto cap = [&](u32 r) { return row_begin_[r + 1] - row_begin_[r]; };
+  bool fits = true;
+  for (u32 r = 0; r < regs && fits; ++r) fits = newer.register_len(r) <= cap(r);
+  if (fits) return;
+  // Re-lay the slab. An empty graph (a from-scratch build) gets rows that
+  // fit `newer` exactly; otherwise each overflowing row gets twice what it
+  // needs, so a row of a graph carried across growing views overflows
+  // O(log) times. Rows only grow, so moving them last row first, each
+  // back to front, never overwrites an entry before it is moved.
+  const bool exact = nodes_.empty();
+  const auto new_cap = [&](u32 r) {
+    const u32 need = newer.register_len(r);
+    return need <= cap(r) ? cap(r) : (exact ? need : 2 * need);
+  };
+  u32 total = 0;
+  for (u32 r = 0; r < regs; ++r) total += new_cap(r);
+  index_.resize(total);
+  u32 end = total;
+  for (u32 r = regs; r-- > 0;) {
+    const u32 begin = end - new_cap(r);
+    const u32 used = view_.valid() ? view_.register_len(r) : 0;
+    if (begin != row_begin_[r]) {
+      const auto old_row = index_.begin() + row_begin_[r];
+      std::copy_backward(old_row, old_row + used, index_.begin() + begin + used);
+    }
+    row_begin_[r + 1] = end;
+    end = begin;
+  }
+  AMM_ASSERT(end == 0);
+}
 
 void BlockGraph::resolve_refs(usize p, const Message& m) {
   Node& n = nodes_[p];
@@ -32,62 +90,35 @@ void BlockGraph::resolve_refs(usize p, const Message& m) {
   n.parent = n.refs_count == 0 ? kRootId : ref_ids_[n.refs_begin];
 }
 
-void BlockGraph::attach_child(MsgId parent, MsgId child) {
-  std::vector<MsgId>& siblings =
-      parent == kRootId ? root_children_ : nodes_[index_of(parent)].children;
-  // Keep append-time order. The common case (a fresh block extending the
-  // frontier) lands at the end in O(1); only a late-revealed old message
-  // pays the positional insert.
-  if (siblings.empty() || key_less(siblings.back(), child)) {
-    siblings.push_back(child);
-    return;
-  }
-  const auto it = std::lower_bound(siblings.begin(), siblings.end(), child,
-                                   [this](MsgId a, MsgId b) { return key_less(a, b); });
-  siblings.insert(it, child);
-}
-
-void BlockGraph::detach_child(MsgId parent, MsgId child) {
-  std::vector<MsgId>& siblings =
-      parent == kRootId ? root_children_ : nodes_[index_of(parent)].children;
-  const auto it = std::find(siblings.begin(), siblings.end(), child);
-  AMM_ASSERT(it != siblings.end());
-  siblings.erase(it);
-}
-
 void BlockGraph::extend(const MemoryView& newer) {
   AMM_EXPECTS(newer.valid());
-  if (!view_.valid()) {
-    // First extension binds the graph to the view's memory.
-    view_ = MemoryView(&newer.memory(), std::vector<u32>(newer.register_count(), 0));
-    index_.resize(newer.register_count());
+  if (view_.valid()) {
+    AMM_EXPECTS(&view_.memory() == &newer.memory());
+    AMM_EXPECTS(view_.subset_of(newer));
+  } else {
+    // The first extension binds the graph to the view's memory.
+    row_begin_.assign(newer.register_count() + 1, 0);
   }
-  AMM_EXPECTS(&view_.memory() == &newer.memory());
-  AMM_EXPECTS(view_.subset_of(newer));
 
   // Only the newly visible messages, in canonical (appended_at, id) order —
-  // a scan of the memory's log over the per-register delta ranges.
+  // a scan of the memory's log over the per-register delta ranges (an
+  // unbound graph's empty lens read as all zeros).
   const std::vector<MsgId> delta =
       am::merge_append_order(newer.memory(), view_.lens(), newer.lens());
+  grow_rows(newer);
   view_ = newer;
   if (delta.empty()) return;
 
-  // Pass 1: create nodes and dense index entries. Within one register the
-  // delta arrives in sequence order, so the per-author index grows by
-  // push_back, each array reserved once per extension.
+  // Pass 1: create nodes and dense index entries.
   const usize first_new = nodes_.size();
   reserve_at_least(nodes_, nodes_.size() + delta.size());
   reserve_at_least(order_, order_.size() + delta.size());
-  for (u32 r = 0; r < newer.register_count(); ++r) {
-    reserve_at_least(index_[r], newer.register_len(r));
-  }
   for (const MsgId id : delta) {
-    AMM_ASSERT(index_[id.author].size() == id.seq);
-    index_[id.author].push_back(static_cast<u32>(nodes_.size()));
+    index_[row_begin_[id.author] + id.seq] = static_cast<u32>(nodes_.size());
     Node n;
     n.id = id;
     n.time = view_.msg(id).appended_at;
-    nodes_.push_back(std::move(n));
+    nodes_.push_back(n);
   }
 
   // Canonical order: the old prefix and the delta are each sorted, so a
@@ -95,11 +126,9 @@ void BlockGraph::extend(const MemoryView& newer) {
   // messages later than everything seen) is a pure append.
   const usize old_order = order_.size();
   for (usize p = first_new; p < nodes_.size(); ++p) order_.push_back(static_cast<u32>(p));
-  if (old_order != 0 &&
-      key_less(nodes_[order_[old_order]].id, nodes_[order_[old_order - 1]].id)) {
+  if (old_order != 0 && key_less(order_[old_order], order_[old_order - 1])) {
     std::inplace_merge(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(old_order),
-                       order_.end(),
-                       [this](u32 a, u32 b) { return key_less(nodes_[a].id, nodes_[b].id); });
+                       order_.end(), [this](u32 a, u32 b) { return key_less(a, b); });
   }
 
   // Pass 2: resolve the new nodes' references. References outside the view
@@ -112,7 +141,6 @@ void BlockGraph::extend(const MemoryView& newer) {
       if (!view_.contains(ref)) pending_[ref].push_back(static_cast<u32>(p));
     }
     resolve_refs(p, m);
-    attach_child(nodes_[p].parent, nodes_[p].id);
   }
 
   // Pass 3: wake waiters whose awaited target just became visible. The
@@ -120,52 +148,27 @@ void BlockGraph::extend(const MemoryView& newer) {
   // reference can reparent an existing block — exactly what a from-scratch
   // build of the larger view would have done.
   bool reparented = false;
-  for (const MsgId id : delta) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    for (const u32 wp : it->second) {
-      const MsgId old_parent = nodes_[wp].parent;
-      resolve_refs(wp, view_.msg(nodes_[wp].id));
-      const Node& w = nodes_[wp];
-      if (w.parent != old_parent) {
-        detach_child(old_parent, w.id);
-        attach_child(w.parent, w.id);
-        reparented = true;
+  if (!pending_.empty()) {
+    for (const MsgId id : delta) {
+      const auto it = pending_.find(id);
+      if (it == pending_.end()) continue;
+      for (const u32 wp : it->second) {
+        const MsgId old_parent = nodes_[wp].parent;
+        resolve_refs(wp, view_.msg(nodes_[wp].id));
+        reparented = reparented || nodes_[wp].parent != old_parent;
       }
+      pending_.erase(it);
     }
-    pending_.erase(it);
   }
 
   if (reparented) {
     // Reparenting cascades through depths; recompute wholesale (cold path —
     // requires a Byzantine dangling reference resolved late).
-    recompute_all_depths();
+    for (Node& n : nodes_) n.depth = 0;
+    settle_depths(0);
     recompute_frontier();
   } else {
-    // Depths of the new nodes only, via an explicit stack (no recursion;
-    // chains can be long). A parent is either settled (depth > 0) or a new
-    // node reachable through the stack.
-    std::vector<usize> stack;
-    for (usize i = first_new; i < nodes_.size(); ++i) {
-      if (nodes_[i].depth != 0) continue;
-      stack.push_back(i);
-      while (!stack.empty()) {
-        const usize cur = stack.back();
-        Node& n = nodes_[cur];
-        if (n.parent == kRootId) {
-          n.depth = 1;
-          stack.pop_back();
-          continue;
-        }
-        const usize pi = index_of(n.parent);
-        if (nodes_[pi].depth == 0) {
-          stack.push_back(pi);
-          continue;
-        }
-        n.depth = nodes_[pi].depth + 1;
-        stack.pop_back();
-      }
-    }
+    settle_depths(first_new);
     // Frontier update, keeping deepest_ in append-time order (a new block
     // at the frontier lands at the end; a late-revealed equal-depth block
     // slots into position).
@@ -175,43 +178,44 @@ void BlockGraph::extend(const MemoryView& newer) {
         max_depth_ = n.depth;
         deepest_.clear();
       }
-      if (n.depth == max_depth_) {
-        if (deepest_.empty() || key_less(deepest_.back(), n.id)) {
-          deepest_.push_back(n.id);
-        } else {
-          const auto pos = std::lower_bound(deepest_.begin(), deepest_.end(), n.id,
-                                            [this](MsgId a, MsgId b) { return key_less(a, b); });
-          deepest_.insert(pos, n.id);
-        }
+      if (n.depth != max_depth_) continue;
+      const auto pos = static_cast<u32>(i);
+      if (deepest_.empty() || key_less(static_cast<u32>(index_of(deepest_.back())), pos)) {
+        deepest_.push_back(n.id);
+      } else {
+        const auto at = std::lower_bound(
+            deepest_.begin(), deepest_.end(), pos,
+            [this](MsgId a, u32 b) { return key_less(static_cast<u32>(index_of(a)), b); });
+        deepest_.insert(at, n.id);
       }
     }
   }
 
+  children_valid_ = false;
   weights_valid_ = false;
   topo_valid_ = false;
 }
 
-void BlockGraph::recompute_all_depths() {
-  for (Node& n : nodes_) n.depth = 0;
-  std::vector<usize> stack;
-  for (usize i = 0; i < nodes_.size(); ++i) {
+void BlockGraph::settle_depths(usize first) {
+  // An explicit stack, not recursion: chains can be long. A parent is
+  // either settled (depth > 0) or reachable through the stack.
+  for (usize i = first; i < nodes_.size(); ++i) {
     if (nodes_[i].depth != 0) continue;
-    stack.push_back(i);
-    while (!stack.empty()) {
-      const usize cur = stack.back();
-      Node& n = nodes_[cur];
-      if (n.parent == kRootId) {
+    depth_stack_.push_back(static_cast<u32>(i));
+    while (!depth_stack_.empty()) {
+      Node& n = nodes_[depth_stack_.back()];
+      if (n.refs_count == 0) {
         n.depth = 1;
-        stack.pop_back();
+        depth_stack_.pop_back();
         continue;
       }
-      const usize pi = index_of(n.parent);
+      const u32 pi = ref_pos_[n.refs_begin];
       if (nodes_[pi].depth == 0) {
-        stack.push_back(pi);
+        depth_stack_.push_back(pi);
         continue;
       }
       n.depth = nodes_[pi].depth + 1;
-      stack.pop_back();
+      depth_stack_.pop_back();
     }
   }
 }
@@ -225,23 +229,41 @@ void BlockGraph::recompute_frontier() {
   }
 }
 
+void BlockGraph::ensure_children() const {
+  if (children_valid_) return;
+  // Counting fills child_begin_ with each slot's end; filling back to
+  // front, in reverse canonical order, leaves every list in canonical
+  // (append-time) order and child_begin_[s] at its start.
+  const usize count = nodes_.size();
+  child_begin_.assign(count + 2, 0);
+  for (const Node& n : nodes_) ++child_begin_[parent_slot(n)];
+  counts_to_ends(child_begin_);
+  child_ids_.resize(count);
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    const Node& n = nodes_[*it];
+    child_ids_[--child_begin_[parent_slot(n)]] = n.id;
+  }
+  children_valid_ = true;
+}
+
 void BlockGraph::ensure_weights() const {
   if (weights_valid_) return;
   // GHOST weights — accumulate bottom-up by descending depth. A block is
   // one deeper than its parent, so each subtree is complete before its
   // root is added to the root's parent. The weights are integer sums, so
   // the order within one depth is free: a counting sort by depth does.
-  weights_.assign(nodes_.size(), 1);
-  std::vector<u32> depth_start(max_depth_ + 2, 0);
+  const usize count = nodes_.size();
+  weights_.assign(count, 1);
+  std::vector<u32>& depth_start = work_offsets_;
+  std::vector<u32>& by_depth = work_list_;
+  depth_start.assign(max_depth_ + 2, 0);
   for (const Node& n : nodes_) ++depth_start[n.depth + 1];
-  for (usize d = 1; d < depth_start.size(); ++d) depth_start[d] += depth_start[d - 1];
-  std::vector<u32> by_depth(nodes_.size());
-  for (usize p = 0; p < nodes_.size(); ++p) {
-    by_depth[depth_start[nodes_[p].depth]++] = static_cast<u32>(p);
-  }
+  counts_to_ends(depth_start);
+  by_depth.resize(count);
+  for (usize p = 0; p < count; ++p) by_depth[depth_start[nodes_[p].depth]++] = static_cast<u32>(p);
   for (auto it = by_depth.rbegin(); it != by_depth.rend(); ++it) {
     const Node& n = nodes_[*it];
-    if (n.parent != kRootId) weights_[index_of(n.parent)] += weights_[*it];
+    if (n.refs_count != 0) weights_[ref_pos_[n.refs_begin]] += weights_[*it];
   }
   weights_valid_ = true;
 }
@@ -254,28 +276,25 @@ void BlockGraph::ensure_topo() const {
   // enters the ready queue exactly once, so the queue is a flat vector
   // consumed from a moving head, and its final contents are the order.
   const usize count = nodes_.size();
-  std::vector<u32> in_degree(count);
+  std::vector<u32>& in_degree = work_degree_;
   // Referrer lists in CSR form: block p's referrers are
-  // referrers[first[p] .. first[p + 1]). Counting fills first[] with each
-  // list's end; filling it back to front, in reverse canonical order,
-  // leaves each list in canonical order and first[p] at its start.
-  std::vector<u32> first(count + 1, 0);
+  // referrers[first[p] .. first[p + 1]), in canonical order.
+  std::vector<u32>& first = work_offsets_;
+  std::vector<u32>& referrers = work_list_;
+  in_degree.resize(count);
+  first.assign(count + 1, 0);
   for (usize p = 0; p < count; ++p) {
     in_degree[p] = nodes_[p].refs_count;
     for (const u32 target : ref_positions(p)) ++first[target];
   }
-  u32 edges = 0;
-  for (u32& end : first) {
-    edges += end;
-    end = edges;
-  }
-  std::vector<u32> referrers(edges);
+  counts_to_ends(first);
+  referrers.resize(first[count]);
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     for (const u32 target : ref_positions(*it)) referrers[--first[target]] = *it;
   }
 
-  std::vector<u32> queue;
-  queue.reserve(count);
+  std::vector<u32>& queue = topo_pos_;
+  queue.clear();
   for (const u32 p : order_) {
     if (in_degree[p] == 0) queue.push_back(p);
   }
@@ -295,8 +314,7 @@ void BlockGraph::ensure_topo() const {
 std::vector<MsgId> BlockGraph::tips() const {
   std::vector<MsgId> result;
   for (const u32 p : order_) {
-    const Node& n = nodes_[p];
-    if (n.children.empty() && !n.referenced) result.push_back(n.id);
+    if (!nodes_[p].referenced) result.push_back(nodes_[p].id);
   }
   return result;
 }

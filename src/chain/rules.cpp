@@ -17,95 +17,95 @@ MsgId choose_longest_tip(const BlockGraph& graph, TieBreak rule, Rng& rng) {
   return kRootId;
 }
 
+namespace {
+
+/// Work arrays of the pivot walk and the linearization, one set per thread
+/// and reused across calls, so a thread that linearizes one graph per
+/// trial (dag_ba's full-ordering decide) allocates only the result.
+struct Scratch {
+  std::vector<u32> reach;  // longest-chain rule: deepest depth in subtree
+  std::vector<u32> epoch;  // by position
+  std::vector<u32> start;  // counting-sort offsets, by epoch
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Walks from the root choosing children by `rule` and calls visit(block)
+/// for each pivot block, oldest first. Ties go to the earliest-appended
+/// child (both cited rules are deterministic given the view).
+template <typename Visit>
+void walk_pivot(const BlockGraph& graph, PivotRule rule, Visit&& visit) {
+  // For the longest-chain rule we need, per block, the height of the
+  // deepest descendant. Compute it once, bottom-up: in reverse topological
+  // order every child comes before its parent (parent edges are reference
+  // edges), so each block's reach is final when it is pushed to its
+  // parent, the first of its references. GHOST reads subtree weights only.
+  std::vector<u32>& reach = scratch().reach;
+  if (rule == PivotRule::kLongestChain) {
+    reach.assign(graph.block_count(), 0);
+    const std::span<const u32> topo = graph.topo_positions();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      const u32 deepest = reach[*it] = std::max(reach[*it], graph.depth(graph.id_at(*it)));
+      const std::span<const u32> refs = graph.ref_positions(*it);
+      if (!refs.empty()) reach[refs.front()] = std::max(reach[refs.front()], deepest);
+    }
+  }
+  const auto score = [&](MsgId c) {
+    return rule == PivotRule::kGhost ? graph.subtree_weight(c) : reach[graph.index_of(c)];
+  };
+  for (std::span<const MsgId> frontier = graph.root_children(); !frontier.empty();) {
+    MsgId best = frontier.front();
+    u32 best_score = score(best);
+    for (const MsgId c : frontier.subspan(1)) {
+      const u32 s = score(c);
+      if (s > best_score) {
+        best = c;
+        best_score = s;
+      }
+    }
+    visit(best);
+    frontier = graph.children(best);
+  }
+}
+
+}  // namespace
+
 std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule) {
   std::vector<MsgId> pivot;
-  if (graph.block_count() == 0) return pivot;
-
-  // For the longest-chain rule we need, per block, the height of the
-  // deepest descendant. Compute it once, bottom-up by descending depth.
-  // MsgId is a perfect index into the graph's dense positions, so this is
-  // a flat array rather than a hash map. GHOST reads subtree weights only.
-  std::vector<u32> max_reach;  // deepest depth reachable in subtree
-  if (rule == PivotRule::kLongestChain) {
-    max_reach.resize(graph.block_count());
-    const std::vector<MsgId>& order = graph.topo_order();
-    // Process leaves first: reverse topological order works because parent
-    // edges are a subset of reference edges.
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      u32 reach = graph.depth(*it);
-      for (const MsgId c : graph.children(*it)) {
-        reach = std::max(reach, max_reach[graph.index_of(c)]);
-      }
-      max_reach[graph.index_of(*it)] = reach;
-    }
-  }
-
-  auto pick = [&](std::span<const MsgId> children) -> MsgId {
-    AMM_EXPECTS(!children.empty());
-    MsgId best = children.front();
-    for (const MsgId c : children.subspan(1)) {
-      const bool better =
-          rule == PivotRule::kGhost
-              ? graph.subtree_weight(c) > graph.subtree_weight(best)
-              : max_reach[graph.index_of(c)] > max_reach[graph.index_of(best)];
-      if (better) best = c;
-    }
-    return best;
-  };
-
-  std::span<const MsgId> frontier = graph.root_children();
-  while (!frontier.empty()) {
-    const MsgId next = pick(frontier);
-    pivot.push_back(next);
-    frontier = graph.children(next);
-  }
+  pivot.reserve(graph.max_depth());
+  walk_pivot(graph, rule, [&](MsgId id) { pivot.push_back(id); });
   return pivot;
 }
 
 std::vector<MsgId> linearize_dag(const BlockGraph& graph, PivotRule rule) {
-  const std::vector<MsgId> pivot = select_pivot(graph, rule);
-
-  // Epoch assignment: a non-pivot block belongs to the epoch of the first
-  // pivot block that (transitively) references it. Walking the global topo
-  // order once per pivot step would be quadratic; instead assign epochs by
-  // a reverse scan: process pivot blocks in order, collecting not-yet-
-  // emitted ancestors via DFS over reference edges. All bookkeeping is by
-  // dense position — no hashing on the hot path.
-  std::vector<u8> emitted(graph.block_count(), 0);
-  std::vector<MsgId> order;
-  order.reserve(graph.block_count());
-
-  // Position in the global deterministic topo order, for stable epoch-
-  // internal ordering.
-  const std::vector<MsgId>& topo = graph.topo_order();
-  std::vector<usize> topo_pos(graph.block_count());
-  for (usize i = 0; i < topo.size(); ++i) topo_pos[graph.index_of(topo[i])] = i;
-
-  std::vector<MsgId> stack;
-  std::vector<usize> epoch;  // topo positions of the epoch's blocks
-  for (const MsgId p : pivot) {
-    epoch.clear();
-    stack.push_back(p);
-    while (!stack.empty()) {
-      const MsgId cur = stack.back();
-      stack.pop_back();
-      const usize at = graph.index_of(cur);
-      if (emitted[at] != 0) continue;
-      emitted[at] = 1;
-      epoch.push_back(topo_pos[at]);
-      for (const MsgId ref : graph.refs(cur)) {
-        if (emitted[graph.index_of(ref)] == 0) stack.push_back(ref);
-      }
-    }
-    std::sort(epoch.begin(), epoch.end());
-    for (const usize i : epoch) order.push_back(topo[i]);
+  // Block p is emitted in the epoch of the first pivot block whose
+  // reference closure holds it. The closure of pivot block i holds p iff p
+  // is that block or one of p's referrers lies in it, so p's epoch is the
+  // smaller of its own pivot index and its referrers' epochs: one pass in
+  // reverse topological order, where every referrer comes first, settles
+  // them all. Blocks no pivot block reaches keep the epoch after the last.
+  Scratch& s = scratch();
+  s.epoch.assign(graph.block_count(), ~u32{0});
+  u32 pivots = 0;
+  walk_pivot(graph, rule, [&](MsgId id) { s.epoch[graph.index_of(id)] = pivots++; });
+  const std::span<const u32> topo = graph.topo_positions();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const u32 epoch = s.epoch[*it] = std::min(s.epoch[*it], pivots);
+    for (const u32 ref : graph.ref_positions(*it)) s.epoch[ref] = std::min(s.epoch[ref], epoch);
   }
-  // Blocks unreachable from the pivot (withheld side branches nobody
-  // referenced) are appended last in topo order, so the output is total.
-  for (const MsgId id : topo) {
-    if (emitted[graph.index_of(id)] == 0) order.push_back(id);
-  }
-  AMM_ENSURES(order.size() == graph.block_count());
+
+  // Each epoch in topological order: a stable counting sort of the topo
+  // order by epoch. A pivot block reaches its whole epoch through
+  // references, so it comes last in it; the unreached blocks come after
+  // every epoch.
+  s.start.assign(pivots + 2, 0);
+  for (const u32 p : topo) ++s.start[s.epoch[p] + 1];
+  for (usize e = 1; e < s.start.size(); ++e) s.start[e] += s.start[e - 1];
+  std::vector<MsgId> order(graph.block_count());
+  for (const u32 p : topo) order[s.start[s.epoch[p]]++] = graph.id_at(p);
   return order;
 }
 

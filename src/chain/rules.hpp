@@ -37,7 +37,8 @@ std::vector<MsgId> select_pivot(const BlockGraph& graph, PivotRule rule);
 /// order, emit its "epoch" — every not-yet-emitted ancestor reachable
 /// through reference edges — in deterministic topological order, then the
 /// pivot block itself (§5.3: "Order the values of the DAG with respect to
-/// the longest chain").
+/// the longest chain"). Blocks no pivot block reaches come last, in
+/// topological order. O(blocks + refs).
 std::vector<MsgId> linearize_dag(const BlockGraph& graph, PivotRule rule);
 
 /// The first `k` values along a chain from the root (Algorithm 5, line 10):

@@ -30,7 +30,20 @@ class ChainState {
  public:
   explicit ChainState(u32 node_count) : memory_(node_count) {}
 
-  am::AppendMemory& memory() { return memory_; }
+  /// Empties the state for a new trial over `node_count` nodes, as a fresh
+  /// ChainState(node_count) would be; every buffer keeps its capacity.
+  void reset(u32 node_count) {
+    memory_.clear(node_count);
+    auditor_ = check::MemoryAuditor();
+    graph_.clear();
+    recs_.clear();
+    max_depth_ = 0;
+    deepest_.clear();
+    byz_author_ = false;
+    stale_ptr_ = 0;
+    stale_max_depth_ = 0;
+    stale_deepest_.clear();
+  }
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
   /// prefix immutability of the backing memory, monotone observed views,
@@ -38,11 +51,11 @@ class ChainState {
   /// which doubles as a continuous cross-check that incremental extension
   /// tracks the growing view. Zero cost in release builds.
   void audit() {
-    auditor_.check(memory_);
-    auditor_.check_view(memory_.read());
     if constexpr (check::kAuditEnabled) {
+      auditor_.audit(memory_);
+      auditor_.audit_view(memory_.read());
       graph_.extend(memory_.read());
-      check::check_graph(graph_);
+      check::audit_graph(graph_);
     }
   }
 
@@ -94,18 +107,13 @@ class ChainState {
     return stale_deepest_;
   }
 
-  /// First k blocks of the chain ending at `tip` (local indices, oldest
-  /// first).
-  std::vector<usize> first_k(usize tip, u32 k) const {
-    std::vector<usize> chain;
-    i32 cur = static_cast<i32>(tip);
-    while (cur >= 0) {
-      chain.push_back(static_cast<usize>(cur));
-      cur = recs_[static_cast<usize>(cur)].parent;
+  /// Calls fn(i) for the first k blocks of the chain ending at `tip` —
+  /// the ones at depth <= k — tip side first (local indices).
+  template <typename Fn>
+  void for_first_k(usize tip, u32 k, Fn&& fn) const {
+    for (i32 cur = static_cast<i32>(tip); cur >= 0; cur = recs_[static_cast<usize>(cur)].parent) {
+      if (recs_[static_cast<usize>(cur)].depth <= k) fn(static_cast<usize>(cur));
     }
-    std::reverse(chain.begin(), chain.end());
-    if (chain.size() > k) chain.resize(k);
-    return chain;
   }
 
  private:
@@ -121,6 +129,31 @@ class ChainState {
   u32 stale_max_depth_ = 0;
   std::vector<usize> stale_deepest_;
 };
+
+/// One thread's chain trial workspace. Every entry point resets it at
+/// trial start, so a trial's memory and buffers keep their capacity for
+/// the thread's next trial, and a warm trial allocates only its Outcome.
+/// Nothing of one trial survives reset(): outcomes stay a function of
+/// (params, rng).
+struct Workspace {
+  explicit Workspace(u32 node_count) : state(node_count) {}
+
+  void reset(u32 node_count) {
+    state.reset(node_count);
+    start_deepest.clear();
+    labels.clear();
+  }
+
+  ChainState state;
+  std::vector<usize> start_deepest;  ///< slotted: the deepest blocks at slot start
+  std::vector<u8> labels;            ///< slotted: the slot's token order
+};
+
+Workspace& workspace(u32 node_count) {
+  thread_local Workspace ws(node_count);
+  ws.reset(node_count);
+  return ws;
+}
 
 /// Tip selection among a set of equally-deep candidates, honoring the
 /// tie-breaking rule and the worst-case "ties favor the adversary" mode.
@@ -214,13 +247,12 @@ Outcome decide(const ChainState& st, const ChainParams& params, Rng& rng) {
 
   auto decide_once = [&]() -> std::pair<Vote, u64> {
     const usize tip = pick_tip(st, st.deepest(), params, rng);
-    const std::vector<usize> cut = st.first_k(tip, params.k);
     i64 sum = 0;
     u64 byz = 0;
-    for (const usize i : cut) {
+    st.for_first_k(tip, params.k, [&](usize i) {
       sum += vote_value(st.rec(i).vote);
       if (st.rec(i).byz) ++byz;
-    }
+    });
     return {sign_decision(sum), byz};
   };
 
@@ -256,16 +288,17 @@ Outcome run_chain_slotted(const ChainParams& params, Rng rng) {
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
   AMM_EXPECTS(params.weights.empty());  // hash-power mode: continuous model only
 
-  ChainState st(s.n);
+  Workspace& ws = workspace(s.n);
+  ChainState& st = ws.state;
   Rng token_rng = Rng::for_stream(rng.next(), 1);
   Rng tie_rng = Rng::for_stream(rng.next(), 2);
 
   const double correct_rate = params.lambda * static_cast<double>(s.correct_count());
   const double byz_rate = params.lambda * static_cast<double>(s.t);
 
-  // Per-slot buffers, reused across the trial's slots.
-  std::vector<usize> start_deepest;
-  std::vector<u8> labels;
+  // Per-slot buffers, reused across slots and trials.
+  std::vector<usize>& start_deepest = ws.start_deepest;
+  std::vector<u8>& labels = ws.labels;
 
   for (u64 slot = 0; slot < params.max_slots; ++slot) {
     const SimTime slot_start = static_cast<SimTime>(slot) * params.delta;
@@ -322,7 +355,7 @@ Outcome run_chain_continuous(const ChainParams& params, Rng rng) {
   s.validate();
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
 
-  ChainState st(s.n);
+  ChainState& st = workspace(s.n).state;
   sched::TokenSource authority(s.n, params.lambda, params.delta, params.weights,
                                Rng::for_stream(rng.next(), 1));
   Rng tie_rng = Rng::for_stream(rng.next(), 2);
@@ -424,7 +457,7 @@ FinalityResult run_chain_finality(const ChainParams& params, double staleness_fa
   AMM_EXPECTS(staleness_factor >= 0.0);
   AMM_EXPECTS(s.t == 0);  // pure-asynchrony experiment: no Byzantine nodes
 
-  ChainState st(s.n);
+  ChainState& st = workspace(s.n).state;
   sched::TokenAuthority authority(s.n, params.lambda, params.delta,
                                   Rng::for_stream(rng.next(), 1));
   Rng tie_rng = Rng::for_stream(rng.next(), 2);
@@ -435,9 +468,13 @@ FinalityResult run_chain_finality(const ChainParams& params, double staleness_fa
 
   // Sign of the first-k prefix of the deepest block in `tips`.
   auto cut = [&](const std::vector<usize>& tips, std::vector<usize>& prefix_out) -> Vote {
-    prefix_out = st.first_k(tips.front(), params.k);
+    prefix_out.clear();
     i64 sum = 0;
-    for (const usize i : prefix_out) sum += vote_value(st.rec(i).vote);
+    st.for_first_k(tips.front(), params.k, [&](usize i) {
+      prefix_out.push_back(i);
+      sum += vote_value(st.rec(i).vote);
+    });
+    std::reverse(prefix_out.begin(), prefix_out.end());
     return sign_decision(sum);
   };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "am/memory.hpp"
@@ -26,13 +26,28 @@ class DagState {
  public:
   explicit DagState(u32 node_count) : memory_(node_count) {}
 
+  /// Empties the state for a new trial over `node_count` nodes, as a fresh
+  /// DagState(node_count) would be; every buffer keeps its capacity.
+  void reset(u32 node_count) {
+    memory_.clear(node_count);
+    auditor_ = check::MemoryAuditor();
+    recs_.clear();
+    true_tips_.clear();
+    stale_tips_.clear();
+    stale_end_ = 0;
+    deepest_depth_ = 0;
+    deepest_idx_ = 0;
+  }
+
   am::AppendMemory& memory() { return memory_; }
 
   /// Invariant audit hook (no-op unless AMM_AUDIT): append-only growth and
   /// prefix immutability of the backing memory, monotone observed views.
   void audit() {
-    auditor_.check(memory_);
-    auditor_.check_view(memory_.read());
+    if constexpr (check::kAuditEnabled) {
+      auditor_.audit(memory_);
+      auditor_.audit_view(memory_.read());
+    }
   }
 
   /// Appends a block referencing `refs` (local indices; refs[0] = parent).
@@ -112,6 +127,36 @@ class DagState {
   usize deepest_idx_ = 0;
 };
 
+/// One thread's DAG trial workspace. run_dag_continuous resets it at trial
+/// start, so a trial's memory, graph and buffers keep their capacity for
+/// the thread's next trial. Nothing of one trial survives reset():
+/// outcomes stay a function of (params, rng).
+struct Workspace {
+  explicit Workspace(u32 node_count) : state(node_count) {}
+
+  void reset(u32 node_count) {
+    state.reset(node_count);
+    graph.clear();
+    refs.clear();
+    delayed.clear();
+  }
+
+  DagState state;
+  /// The full-ordering decide's graph (Algorithm 6 line 9).
+  chain::BlockGraph graph;
+  /// The references of the next append: a tip list, parent first.
+  std::vector<usize> refs;
+  /// Correct tokens exercised late under temporary asynchrony, in release
+  /// order (token times only grow): (release time, holder).
+  std::vector<std::pair<SimTime, NodeId>> delayed;
+};
+
+Workspace& workspace(u32 node_count) {
+  thread_local Workspace ws(node_count);
+  ws.reset(node_count);
+  return ws;
+}
+
 /// Chooses the parent (refs[0]) among tips: the deepest one, ties toward
 /// the oldest — the longest-chain attachment every cited DAG rule uses.
 void order_parent_first(const DagState& st, std::vector<usize>& tips) {
@@ -130,7 +175,8 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
   s.validate();
   AMM_EXPECTS(params.k > 0 && params.k % 2 == 1);
 
-  DagState st(s.n);
+  Workspace& ws = workspace(s.n);
+  DagState& st = ws.state;
   sched::TokenSource tokens(s.n, params.lambda, params.delta, params.weights,
                             Rng::for_stream(rng.next(), 1));
 
@@ -171,19 +217,13 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     out.decision_set_size = params.k;
   };
 
-  // Carried across rounds under full ordering: views only grow, so the
-  // graph is extended with the newly visible appends instead of being
-  // rebuilt from scratch at decision time (extend is bit-identical to a
-  // from-scratch build of the same view).
-  chain::BlockGraph carried;
-
   auto decide_full = [&] {
     // Exact Algorithm 6 lines 9–10: linearize the whole DAG along the
     // pivot chain and take the first k values of the ordering.
     const am::MemoryView view = st.memory().read();
-    carried.extend(view);
-    check::check_graph(carried);
-    const std::vector<am::MsgId> order = chain::linearize_dag(carried, params.pivot_rule);
+    ws.graph.extend(view);
+    check::check_graph(ws.graph);
+    const std::vector<am::MsgId> order = chain::linearize_dag(ws.graph, params.pivot_rule);
     i64 sum = 0;
     u64 byz_in_cut = 0;
     const u32 cut = std::min<u32>(params.k, static_cast<u32>(order.size()));
@@ -200,13 +240,12 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     out.decision_set_size = cut;
   };
 
-  // The references of the next append: a tip list, parent first. One
-  // buffer for the whole trial.
-  std::vector<usize> refs;
+  std::vector<usize>& refs = ws.refs;
 
   // Temporary asynchrony (the §5.3 closing remark): correct tokens near the
-  // decision cut are exercised late; they queue here until release.
-  std::deque<std::pair<SimTime, NodeId>> delayed;
+  // decision cut are exercised late; they queue in ws.delayed until
+  // release, consumed from a moving head.
+  usize released = 0;
   const u64 async_window = params.async_window != 0 ? params.async_window : window;
 
   u64 steps = 0;
@@ -265,9 +304,8 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
   while (steps < params.max_tokens && !decided) {
     ++steps;
     // Release any delayed correct append that precedes the next token.
-    if (!delayed.empty() && delayed.front().first <= lookahead.time) {
-      const auto [when, holder] = delayed.front();
-      delayed.pop_front();
+    if (released < ws.delayed.size() && ws.delayed[released].first <= lookahead.time) {
+      const auto [when, holder] = ws.delayed[released++];
       apply_correct(holder, when);
       continue;
     }
@@ -315,7 +353,7 @@ DagResult run_dag_continuous(const DagParams& params, Rng rng) {
     const bool async_active =
         params.async_delay > 0.0 && public_count + async_window >= params.k;
     if (async_active) {
-      delayed.emplace_back(token.time + params.async_delay, token.holder);
+      ws.delayed.emplace_back(token.time + params.async_delay, token.holder);
     } else {
       apply_correct(token.holder, token.time);
     }

@@ -73,13 +73,16 @@ class Rng {
   [[nodiscard]] u64 uniform_below(u64 bound) {
     AMM_EXPECTS(bound > 0);
     __extension__ using u128 = unsigned __int128;
-    // Rejection sampling on the high multiply keeps the result exactly uniform.
-    const u64 threshold = (~bound + 1) % bound;  // 2^64 mod bound
-    for (;;) {
-      const u64 x = next();
-      const u128 m = static_cast<u128>(x) * bound;
-      if (static_cast<u64>(m) >= threshold) return static_cast<u64>(m >> 64);
+    // Rejection sampling on the high multiply keeps the result exactly
+    // uniform: a draw is rejected iff the low half is below 2^64 mod bound.
+    // That threshold is below bound, so a low half >= bound accepts without
+    // the division, and every draw decides exactly as with the threshold.
+    u128 m = static_cast<u128>(next()) * bound;
+    if (static_cast<u64>(m) < bound) {
+      const u64 threshold = (~bound + 1) % bound;  // 2^64 mod bound
+      while (static_cast<u64>(m) < threshold) m = static_cast<u128>(next()) * bound;
     }
+    return static_cast<u64>(m >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/rng.hpp"
+
 namespace amm::am {
 namespace {
 
@@ -50,6 +52,66 @@ TEST(AppendMemory, ReadAtGivesHistoricalView) {
   EXPECT_EQ(m.read_at(1.5).size(), 1u);
   EXPECT_EQ(m.read_at(2.5).size(), 2u);
   EXPECT_EQ(m.read_at(3.5).size(), 3u);
+}
+
+TEST(AppendMemory, ReadAtMatchesPerRegisterSizeAt) {
+  // Random histories in which runs of appends share a timestamp, queried at
+  // every append time (strictly-before cuts inside a run of equal times),
+  // between them, before the first and after the last.
+  for (u64 seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const auto n = static_cast<u32>(1 + rng.uniform_below(9));
+    AppendMemory m(n);
+    std::vector<SimTime> queries{-1.0, 0.0};
+    SimTime now = 0.0;
+    for (u64 i = 0, appends = rng.uniform_below(120); i < appends; ++i) {
+      now += 0.5 * static_cast<double>(rng.uniform_below(3));
+      m.append(NodeId{static_cast<u32>(rng.uniform_below(n))}, Vote::kPlus, 0, {}, now);
+      queries.push_back(now);
+      queries.push_back(now + 0.25);
+    }
+    for (const SimTime t : queries) {
+      const MemoryView view = m.read_at(t);
+      ASSERT_EQ(view.register_count(), n);
+      for (u32 r = 0; r < n; ++r) {
+        ASSERT_EQ(view.register_len(r), m.reg(r).size_at(t))
+            << "seed " << seed << ", register " << r << ", time " << t;
+      }
+    }
+  }
+}
+
+TEST(AppendMemory, ClearedMemoryBehavesAsFresh) {
+  const auto fill = [](AppendMemory& m, u32 n) {
+    std::vector<MsgId> ids;
+    for (u32 i = 0; i < 700; ++i) {
+      const std::vector<MsgId> refs =
+          ids.empty() ? std::vector<MsgId>{} : std::vector<MsgId>{ids.back(), ids.front()};
+      ids.push_back(m.append(NodeId{i % n}, Vote::kMinus, i, refs, 0.5 * i));
+    }
+  };
+  AppendMemory reused(5);
+  fill(reused, 5);  // several pool chunks and regrown index rows
+  for (const u32 n : {3u, 7u}) {
+    reused.clear(n);
+    EXPECT_EQ(reused.node_count(), n);
+    EXPECT_EQ(reused.total_appends(), 0u);
+    EXPECT_EQ(reused.last_append_time(), 0.0);
+    EXPECT_TRUE(reused.read().empty());
+    AppendMemory fresh(n);
+    fill(reused, n);
+    fill(fresh, n);
+    ASSERT_EQ(reused.read().lens(), fresh.read().lens());
+    for (u32 p = 0; p < fresh.total_appends(); ++p) {
+      const Message& a = reused.log()[p];
+      const Message& b = fresh.log()[p];
+      EXPECT_EQ(a.id, b.id);
+      EXPECT_EQ(a.payload, b.payload);
+      EXPECT_EQ(a.appended_at, b.appended_at);
+      ASSERT_EQ(a.refs.size(), b.refs.size());
+      for (usize r = 0; r < a.refs.size(); ++r) EXPECT_EQ(a.refs[r], b.refs[r]);
+    }
+  }
 }
 
 TEST(AppendMemory, ViewsAreMonotoneInTime) {

@@ -79,6 +79,33 @@ TEST(Rng, UniformBelowCoversAllResidues) {
   for (const int c : counts) EXPECT_GT(c, 800);  // ~1000 expected each
 }
 
+/// Lemire's rejection with the threshold 2^64 mod bound computed before
+/// every draw: the formula uniform_below must reproduce draw for draw.
+u64 uniform_below_with_threshold(Rng& rng, u64 bound) {
+  __extension__ using u128 = unsigned __int128;
+  const u64 threshold = (~bound + 1) % bound;
+  for (;;) {
+    const u128 m = static_cast<u128>(rng.next()) * bound;
+    if (static_cast<u64>(m) >= threshold) return static_cast<u64>(m >> 64);
+  }
+}
+
+TEST(Rng, UniformBelowMatchesThresholdFormula) {
+  // 2^63 + 1 rejects about half the draws, 2^64 - 1 almost none.
+  for (const u64 bound : {u64{1}, u64{2}, u64{3}, u64{48}, (u64{1} << 32) + 1,
+                          (u64{1} << 63) + 1, ~u64{0}}) {
+    for (u64 seed = 1; seed <= 8; ++seed) {
+      Rng fast(seed);
+      Rng reference(seed);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(fast.uniform_below(bound), uniform_below_with_threshold(reference, bound))
+            << "bound " << bound << ", seed " << seed << ", draw " << i;
+      }
+      EXPECT_EQ(fast.next(), reference.next()) << "bound " << bound << " consumed other draws";
+    }
+  }
+}
+
 TEST(Rng, UniformIntInclusiveRange) {
   Rng rng(8);
   bool saw_lo = false, saw_hi = false;

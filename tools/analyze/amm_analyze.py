@@ -147,7 +147,7 @@ def tracked_paths(root: str) -> List[str]:
     return out.splitlines()
 
 
-def _cache_key(model: AnalysisModel) -> str:
+def _cache_key(texts: List[cpp_model.TextFile], tracked: List[str]) -> str:
     """Hashes everything the checks read: the analyzer's own sources, every
     file's path and text, and the git index (a tracked `build/x.o` changes
     no source, but it changes what no-artifacts must report)."""
@@ -158,23 +158,26 @@ def _cache_key(model: AnalysisModel) -> str:
             if fn.endswith(".py"):
                 with open(os.path.join(mod_dir, fn), "rb") as fh:
                     h.update(fh.read())
-    for tf in model.layout_files:
+    for tf in texts:
         h.update(tf.display.encode())
         h.update(hashlib.sha256(tf.text.encode()).digest())
-    h.update(hashlib.sha256("\n".join(model.tracked).encode()).digest())
+    h.update(hashlib.sha256("\n".join(tracked).encode()).digest())
     return h.hexdigest()
 
 
 def analyze(root: str, only: Optional[Set[str]], cache_dir: Optional[str]) -> List[Finding]:
-    files = cpp_model.load_tree(root, ANALYZE_DIRS, exclude=EXCLUDE_DIRS)
-    if not files:
+    # Read every file raw first: a cache hit needs only the texts, and only
+    # a miss pays for lexing src/ and tools/.
+    sources = cpp_model.load_tree(root, ANALYZE_DIRS, exclude=EXCLUDE_DIRS,
+                                  make=cpp_model.TextFile)
+    if not sources:
         raise SystemExit(f"amm_analyze: no sources under {root}/{{{','.join(ANALYZE_DIRS)}}}")
     layout = cpp_model.load_tree(root, LAYOUT_DIRS, exclude=EXCLUDE_DIRS,
                                  make=cpp_model.TextFile)
-    model = AnalysisModel(files, layout, tracked_paths(root))
+    tracked = tracked_paths(root)
     cache_path = None
     if cache_dir:
-        key = _cache_key(model)
+        key = _cache_key(sources + layout, tracked)
         if only:
             key = hashlib.sha256((key + ",".join(sorted(only))).encode()).hexdigest()
         os.makedirs(cache_dir, exist_ok=True)
@@ -182,7 +185,8 @@ def analyze(root: str, only: Optional[Set[str]], cache_dir: Optional[str]) -> Li
         if os.path.exists(cache_path):
             with open(cache_path, encoding="utf-8") as fh:
                 return [Finding(**f) for f in json.load(fh)]
-    findings = run_checks(model, only)
+    files = [cpp_model.SourceFile(tf.path, tf.text, tf.display) for tf in sources]
+    findings = run_checks(AnalysisModel(files, layout, tracked), only)
     if cache_path:
         with open(cache_path, "w", encoding="utf-8") as fh:
             json.dump([f._asdict() for f in findings], fh)
