@@ -37,6 +37,7 @@ struct NodeStats {
   u64 log_bytes = 0;       ///< bytes in the durable append log (0 without --store-dir)
   u64 snapshot_count = 0;  ///< snapshots loaded at open plus written since
   u64 recovery_replayed_records = 0;  ///< records replayed from disk at startup
+  u64 fsyncs = 0;          ///< fdatasyncs the durable store issued (StorageStats::fsyncs)
   u64 links_up = 0;        ///< outbound peer links currently connected
 };
 
@@ -66,6 +67,7 @@ inline constexpr NodeStatsField kNodeStatsFields[] = {
     {"log_bytes", &NodeStats::log_bytes},
     {"snapshot_count", &NodeStats::snapshot_count},
     {"recovery_replayed_records", &NodeStats::recovery_replayed_records},
+    {"fsyncs", &NodeStats::fsyncs},
     {"links_up", &NodeStats::links_up},
 };
 

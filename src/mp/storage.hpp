@@ -68,7 +68,7 @@ struct StorageStats {
   u64 log_bytes = 0;        ///< bytes in the log (frames included, all segments)
   u64 log_records = 0;      ///< records in the log
   u64 snapshot_count = 0;   ///< snapshots loaded at open plus written since
-  u64 fsyncs = 0;           ///< fdatasync calls issued by the policy
+  u64 fsyncs = 0;           ///< fdatasyncs: the policy's, two per segment roll, one per snapshot
   u64 torn_tail_bytes = 0;  ///< bytes truncated from the tail at open
   u64 segments = 0;         ///< segment files currently on disk (0 for MemStorage)
 };

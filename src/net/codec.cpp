@@ -90,6 +90,14 @@ u64 load_u64(const u8* src) {
   return v;
 }
 
+void store_u32(u8* dst, u32 v) {
+  for (int i = 0; i < 4; ++i) dst[i] = static_cast<u8>(v >> (8 * i));
+}
+
+void store_u64(u8* dst, u64 v) {
+  for (int i = 0; i < 8; ++i) dst[i] = static_cast<u8>(v >> (8 * i));
+}
+
 }  // namespace
 
 std::optional<mp::SignedAppend> decode_record_from(std::span<const u8> src) {
@@ -101,6 +109,15 @@ std::optional<mp::SignedAppend> decode_record_from(std::span<const u8> src) {
   rec.value = static_cast<i64>(load_u64(p + 8));
   rec.sig = crypto::Signature{NodeId{load_u32(p + 16)}, load_u64(p + 20)};
   return rec;
+}
+
+void encode_record_to(std::span<u8, mp::kWireRecordBytes> dst, const mp::SignedAppend& rec) {
+  u8* p = dst.data();
+  store_u32(p, rec.author.index);
+  store_u32(p + 4, rec.seq);
+  store_u64(p + 8, static_cast<u64>(rec.value));
+  store_u32(p + 16, rec.sig.signer.index);
+  store_u64(p + 20, rec.sig.tag);
 }
 
 void encode_checkpoint(Encoder& enc, const mp::Checkpoint& ckpt) {

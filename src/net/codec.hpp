@@ -87,6 +87,11 @@ std::optional<mp::SignedAppend> decode_record(Decoder& dec);
 /// `src` is shorter than one record.
 std::optional<mp::SignedAppend> decode_record_from(std::span<const u8> src);
 
+/// Fixed-buffer record write, the twin of decode_record_from: writes
+/// exactly the bytes encode_record would, with no heap (storage/log_format
+/// builds each log frame on the stack with it).
+void encode_record_to(std::span<u8, mp::kWireRecordBytes> dst, const mp::SignedAppend& rec);
+
 void encode_checkpoint(Encoder& enc, const mp::Checkpoint& ckpt);
 std::optional<mp::Checkpoint> decode_checkpoint(Decoder& dec);
 

@@ -15,11 +15,12 @@
 namespace amm::storage {
 namespace {
 
-bool write_all(int fd, std::span<const u8> bytes) {
+/// Writes all of `bytes` at file offset `at` (regular files only).
+bool write_all_at(int fd, std::span<const u8> bytes, u64 at) {
   usize off = 0;
   while (off < bytes.size()) {
-    // analyze:allow(loop-blocking): regular-file write — always makes progress
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t n = ::pwrite(fd, bytes.data() + off, bytes.size() - off,
+                               static_cast<off_t>(at + off));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -37,32 +38,17 @@ bool sync_dir(const std::string& dir) {
   return ok;
 }
 
-/// Scans one segment image, invoking `on_record(rec)` per valid frame.
-/// Returns the byte offset where the valid prefix ends (== image size when
-/// the whole segment is clean).
-template <typename Fn>
-usize scan_segment_image(std::span<const u8> image, Fn&& on_record) {
-  usize off = 0;
-  mp::SignedAppend rec;
-  usize consumed = 0;
-  while (off < image.size() &&
-         extract_record_frame(image.subspan(off), &rec, &consumed) == ScanStatus::kRecord) {
-    on_record(rec);
-    off += consumed;
-  }
-  return off;
-}
-
 }  // namespace
 
-std::optional<std::vector<u8>> read_file(const std::string& path) {
+std::optional<std::vector<u8>> read_file(const std::string& path, usize limit) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return std::nullopt;
   std::vector<u8> out;
   u8 buf[1 << 16];
-  for (;;) {
+  while (out.size() < limit) {
+    const usize want = std::min(sizeof buf, limit - out.size());
     // analyze:allow(loop-blocking): regular-file read — always makes progress
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    const ssize_t n = ::read(fd, buf, want);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
@@ -145,10 +131,9 @@ FileLog::FileLog(FileLogConfig config) : config_(std::move(config)) {
 }
 
 FileLog::~FileLog() {
-  if (fd_ >= 0) {
-    ::fdatasync(fd_);
-    ::close(fd_);
-  }
+  if (fd_ < 0) return;
+  trim_active();
+  ::close(fd_);
 }
 
 bool FileLog::fail(const std::string& what) {
@@ -202,9 +187,12 @@ bool FileLog::open_store() {
     }
     const auto image = read_file(seg.path);
     if (!image) return fail("read " + seg.path);
-    const usize valid = scan_segment_image(*image, [&](const mp::SignedAppend&) { ++seg.records; });
-    seg.bytes = valid;
-    if (valid != image->size()) {
+    const SegmentScan scan = scan_segment(*image);
+    seg.records = scan.records;
+    seg.bytes = scan.valid_bytes;
+    // A zero tail is unused preallocation and stays; the next append writes
+    // over it. Anything else past the last whole frame is torn.
+    if (scan.torn_bytes != 0) {
       if (i + 1 != seg_names.size()) {
         // A torn frame with a written successor segment is not a crash
         // tail — refuse the store rather than silently drop records.
@@ -212,8 +200,8 @@ bool FileLog::open_store() {
         ok_ = false;
         return false;
       }
-      stats_.torn_tail_bytes += image->size() - valid;
-      if (::truncate(seg.path.c_str(), static_cast<off_t>(valid)) != 0) {
+      stats_.torn_tail_bytes += scan.torn_bytes;
+      if (::truncate(seg.path.c_str(), static_cast<off_t>(seg.bytes)) != 0) {
         return fail("truncate " + seg.path);
       }
     }
@@ -230,27 +218,39 @@ bool FileLog::open_store() {
 }
 
 bool FileLog::open_active(bool create) {
+  preallocated_ = false;
   if (create) {
     Segment seg;
     seg.first_seq = next_log_seq_;
     seg.path = config_.dir + "/" + segment_file_name(next_log_seq_);
-    fd_ = ::open(seg.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    fd_ = ::open(seg.path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (fd_ < 0) return fail("create " + seg.path);
     segments_.push_back(std::move(seg));
     stats_.segments = segments_.size();
     return true;
   }
   const Segment& last = segments_.back();
-  fd_ = ::open(last.path.c_str(), O_WRONLY | O_APPEND);
+  fd_ = ::open(last.path.c_str(), O_WRONLY);
   if (fd_ < 0) return fail("open " + last.path);
+  return true;
+}
+
+bool FileLog::trim_active() {
+  const Segment& seg = segments_.back();
+  if (::ftruncate(fd_, static_cast<off_t>(seg.bytes)) != 0) return fail("truncate " + seg.path);
+  if (::fdatasync(fd_) != 0) return fail("fdatasync " + seg.path);
+  ++stats_.fsyncs;
   return true;
 }
 
 bool FileLog::roll_segment() {
   // Closed segments must be durable before the log grows past them:
-  // replay order would otherwise depend on which file the OS flushed.
+  // replay order would otherwise depend on which file the OS flushed. They
+  // also lose their unused preallocation, durably, before the next segment
+  // exists, so every closed segment holds exactly its frames.
   if (::fdatasync(fd_) != 0) return fail("fdatasync " + segments_.back().path);
   ++stats_.fsyncs;
+  if (!trim_active()) return false;
   ::close(fd_);
   fd_ = -1;
   appends_since_sync_ = 0;
@@ -277,12 +277,24 @@ bool FileLog::maybe_fsync() {
 
 bool FileLog::append(const mp::SignedAppend& rec) {
   if (!ok_) return false;
-  if (segments_.back().bytes >= config_.segment_bytes && !roll_segment()) return false;
-  std::vector<u8> frame;
-  frame.reserve(kLogRecordFrameBytes);
-  append_record_frame(frame, rec);
-  if (!write_all(fd_, frame)) return fail("write " + segments_.back().path);
+  // Only a segment that holds a record rolls, so even segment_bytes 0 gives
+  // each record a file of its own, never an empty one.
+  const Segment& active = segments_.back();
+  if (active.records > 0 && active.bytes >= config_.segment_bytes && !roll_segment()) {
+    return false;
+  }
   Segment& seg = segments_.back();
+  if (!preallocated_) {
+    // Reserve the whole segment before its first write, so no append
+    // changes the file's size: an fdatasync then flushes the record instead
+    // of committing a size update to the journal. Until then an opened (or
+    // just repaired) segment keeps its exact bytes. Where fallocate fails
+    // (EOPNOTSUPP, ENOSPC), the pwrite below grows the file instead.
+    (void)::fallocate(fd_, 0, 0, static_cast<off_t>(config_.segment_bytes + kLogRecordFrameBytes));
+    preallocated_ = true;
+  }
+  const RecordFrame frame = encode_record_frame(rec);
+  if (!write_all_at(fd_, frame, seg.bytes)) return fail("write " + seg.path);
   seg.bytes += frame.size();
   ++seg.records;
   ++next_log_seq_;
@@ -298,7 +310,7 @@ bool FileLog::write_snapshot(const mp::Snapshot& snap) {
   const std::string tmp_path = final_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fail("create " + tmp_path);
-  const bool wrote = write_all(fd, image) && ::fsync(fd) == 0;
+  const bool wrote = write_all_at(fd, image, 0) && ::fsync(fd) == 0;
   ::close(fd);
   if (!wrote) {
     ::unlink(tmp_path.c_str());
@@ -336,17 +348,17 @@ u64 FileLog::replay(u64 from_seq, const std::function<void(const mp::SignedAppen
   u64 delivered = 0;
   for (const Segment& seg : segments_) {
     if (seg.first_seq + seg.records <= from_seq) continue;
-    const auto image = read_file(seg.path);
+    // Only the segment's frames: the active one's preallocated tail is not log.
+    const auto image = read_file(seg.path, seg.bytes);
     if (!image) {
       fail("read " + seg.path);
       return delivered;
     }
     u64 pos = seg.first_seq;
-    scan_segment_image(*image, [&](const mp::SignedAppend& rec) {
-      // Frames past seg.records (appended after the scan copy was taken)
-      // cannot occur here: replay runs before wire activity. Positions
-      // below from_seq are already covered by the caller's snapshot.
-      if (pos >= from_seq && pos < seg.first_seq + seg.records) {
+    scan_segment(*image, [&](const mp::SignedAppend& rec) {
+      // Positions below from_seq are already covered by the caller's
+      // snapshot.
+      if (pos >= from_seq) {
         cb(rec);
         ++delivered;
       }

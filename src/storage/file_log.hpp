@@ -9,14 +9,25 @@
 //                                   either the old or the new one, never a
 //                                   partial)
 //
+// The active segment is preallocated (fallocate, segment_bytes plus one
+// frame) before its first record, and frames are pwritten at its valid
+// length, so an append never changes the file's size and an fdatasync
+// flushes data instead of committing the journal (DESIGN.md §10). Its
+// unused tail reads as zeros, which the end-of-log rule (log_format.hpp)
+// treats as free space, not a fault. A segment loses that tail when it is
+// closed — at a roll, durably and before its successor exists, and in the
+// destructor — so closed segments, and a cleanly closed store, hold
+// exactly their frames.
+//
 // Open scans every segment front to back: a torn frame in the *last*
 // segment is the expected crash artifact and is truncated away (counted in
-// StorageStats::torn_tail_bytes); a torn frame anywhere else, or a gap in
-// the segment sequence, is real corruption and fails the open (ok() ==
-// false — amm_logtool is the offline repair path). After a successful
-// snapshot write, closed segments entirely below the snapshot's log_seq
-// are deleted: steady-state disk usage is one snapshot plus the live tail
-// of the log, mirroring what compaction does to resident memory.
+// StorageStats::torn_tail_bytes; the next append preallocates again); a
+// torn frame anywhere else, or a gap in the segment sequence, is real
+// corruption and fails the open (ok() == false — amm_logtool is the
+// offline repair path). After a successful snapshot write, closed segments
+// entirely below the snapshot's log_seq are deleted: steady-state disk
+// usage is one snapshot plus the live tail of the log, mirroring what
+// compaction does to resident memory.
 #pragma once
 
 #include <optional>
@@ -31,7 +42,8 @@ struct FileLogConfig {
   std::string dir;  ///< store directory; created (with parents) if missing
   mp::FsyncPolicy fsync = mp::FsyncPolicy::kInterval;
   u32 fsync_interval = 64;         ///< appends between fdatasyncs (kInterval)
-  usize segment_bytes = 4u << 20;  ///< roll the active segment beyond this
+  usize segment_bytes = 4u << 20;  ///< roll the active segment beyond this; also
+                                   ///< the disk each segment reserves up front
 };
 
 class FileLog final : public mp::Storage {
@@ -66,11 +78,14 @@ class FileLog final : public mp::Storage {
   bool fail(const std::string& what);
   bool open_store();
   bool open_active(bool create);
+  /// Cuts the active segment to its frames and makes that durable.
+  bool trim_active();
   bool roll_segment();
   bool maybe_fsync();
 
   FileLogConfig config_;
-  int fd_ = -1;  ///< active segment, O_APPEND
+  int fd_ = -1;  ///< active segment; frames go at segments_.back().bytes
+  bool preallocated_ = false;  ///< the active segment's fallocate is done
   std::vector<Segment> segments_;
   u64 next_log_seq_ = 0;
   u32 appends_since_sync_ = 0;
@@ -83,8 +98,9 @@ class FileLog final : public mp::Storage {
 
 // ---- store-walking helpers, shared with tools/amm_logtool ----
 
-/// Reads a whole file into memory; nullopt on any IO error.
-std::optional<std::vector<u8>> read_file(const std::string& path);
+/// Reads a file's first `limit` bytes (all of it by default) into memory;
+/// nullopt on any IO error.
+std::optional<std::vector<u8>> read_file(const std::string& path, usize limit = ~usize{0});
 
 /// Creates `dir` and its parents (mkdir -p); true if it exists afterwards.
 bool make_dirs(const std::string& dir);

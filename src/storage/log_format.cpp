@@ -1,8 +1,16 @@
 #include "storage/log_format.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace amm::storage {
+namespace {
+
+void store_u32(u8* dst, u32 v) {
+  for (int i = 0; i < 4; ++i) dst[i] = static_cast<u8>(v >> (8 * i));
+}
+
+}  // namespace
 
 u32 crc32(std::span<const u8> bytes) {
   static constexpr std::array<u32, 256> kTable = [] {
@@ -19,17 +27,19 @@ u32 crc32(std::span<const u8> bytes) {
   return crc ^ 0xffffffffu;
 }
 
+RecordFrame encode_record_frame(const mp::SignedAppend& rec) {
+  RecordFrame frame;
+  const std::span<u8, mp::kWireRecordBytes> payload(frame.data() + kLogFrameHeaderBytes,
+                                                    mp::kWireRecordBytes);
+  net::encode_record_to(payload, rec);
+  store_u32(frame.data(), static_cast<u32>(mp::kWireRecordBytes));
+  store_u32(frame.data() + 4, crc32(payload));
+  return frame;
+}
+
 void append_record_frame(std::vector<u8>& out, const mp::SignedAppend& rec) {
-  net::Encoder enc;
-  enc.reserve(kLogRecordFrameBytes);
-  enc.put_u32(static_cast<u32>(mp::kWireRecordBytes));
-  net::Encoder payload;
-  payload.reserve(mp::kWireRecordBytes);
-  net::encode_record(payload, rec);
-  enc.put_u32(crc32(payload.bytes()));
-  const std::vector<u8> frame = enc.take();
+  const RecordFrame frame = encode_record_frame(rec);
   out.insert(out.end(), frame.begin(), frame.end());
-  out.insert(out.end(), payload.bytes().begin(), payload.bytes().end());
 }
 
 ScanStatus extract_record_frame(std::span<const u8> buf, mp::SignedAppend* out,
@@ -49,6 +59,25 @@ ScanStatus extract_record_frame(std::span<const u8> buf, mp::SignedAppend* out,
   *out = *rec;
   *consumed = kLogRecordFrameBytes;
   return ScanStatus::kRecord;
+}
+
+SegmentScan scan_segment(std::span<const u8> image,
+                         const std::function<void(const mp::SignedAppend&)>& on_record) {
+  SegmentScan scan;
+  mp::SignedAppend rec;
+  usize consumed = 0;
+  while (scan.valid_bytes < image.size() &&
+         extract_record_frame(image.subspan(scan.valid_bytes), &rec, &consumed) ==
+             ScanStatus::kRecord) {
+    if (on_record) on_record(rec);
+    ++scan.records;
+    scan.valid_bytes += consumed;
+  }
+  const std::span<const u8> rest = image.subspan(scan.valid_bytes);
+  if (std::any_of(rest.begin(), rest.end(), [](u8 b) { return b != 0; })) {
+    scan.torn_bytes = rest.size();
+  }
+  return scan;
 }
 
 std::vector<u8> encode_snapshot(const mp::Snapshot& snap) {

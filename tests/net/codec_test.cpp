@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "crypto/signature.hpp"
 #include "net/peer.hpp"
 #include "support/rng.hpp"
@@ -235,7 +238,8 @@ TEST(Codec, FramedMessageMatchesAppendFrame) {
 
 TEST(Codec, RecordSpanVariantsMatchEncoderPath) {
   // decode_record_from (the zero-copy read storage/log_format.cpp uses)
-  // parses exactly what the Encoder path writes.
+  // parses exactly what the Encoder path writes, and encode_record_to
+  // writes it.
   Rng rng(26);
   for (int trial = 0; trial < 200; ++trial) {
     const mp::SignedAppend rec = make_record(rng, 8);
@@ -247,6 +251,12 @@ TEST(Codec, RecordSpanVariantsMatchEncoderPath) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_TRUE(*decoded == rec);
     EXPECT_EQ(decoded->sig, rec.sig);
+
+    // encode_record_to (the stack-frame write FileLog uses) writes the
+    // same bytes as the Encoder path.
+    std::array<u8, mp::kWireRecordBytes> fixed{};
+    encode_record_to(fixed, rec);
+    EXPECT_TRUE(std::equal(fixed.begin(), fixed.end(), enc.bytes().begin()));
   }
   // Short input: total rejection, like every other decode path.
   const std::vector<u8> short_buf(mp::kWireRecordBytes - 1);

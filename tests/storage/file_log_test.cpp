@@ -7,13 +7,21 @@
 // detects any burst <= 32 bits, so a byte flip can never slip through).
 // The FileLog half exercises the store lifecycle against a real temp
 // directory: reopen, torn-tail truncation, segment rolling and pruning,
-// snapshot replacement, and a seeded crash-point fuzz.
+// snapshot replacement, and a seeded crash-point fuzz. The preallocated
+// layout gets its own crash images (whole frames, an optional partial
+// frame, then zeros up to the reserved size) and a writer process that
+// exits without closing the store.
 #include "storage/file_log.hpp"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -409,6 +417,209 @@ TEST(FileLog, FuzzRandomCrashPointsAlwaysYieldAPrefix) {
     ASSERT_EQ(again.size(), replayed.size() + 1);
     EXPECT_TRUE(again.back() == next);
   }
+}
+
+// ---- the preallocated layout ----
+
+usize file_size(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<usize>(st.st_size);
+}
+
+/// Whether `dir`'s filesystem reserves space with fallocate; where it does
+/// not, FileLog grows its segments by writing, and no file is larger than
+/// its frames.
+bool fallocate_supported(const std::string& dir) {
+  const std::string probe = dir + "/probe";
+  const int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT, 0644);
+  if (fd < 0) return false;
+  const bool ok = ::fallocate(fd, 0, 0, 4096) == 0;
+  ::close(fd);
+  ::unlink(probe.c_str());
+  return ok;
+}
+
+std::vector<mp::SignedAppend> prefix(const std::vector<mp::SignedAppend>& recs, usize count) {
+  return {recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(count)};
+}
+
+/// A crash image of a preallocated segment: `whole` frames, the first
+/// `partial` bytes of the next one, then zeros up to `reserved` bytes.
+std::vector<u8> crash_image(const std::vector<mp::SignedAppend>& recs, usize whole, usize partial,
+                            usize reserved) {
+  std::vector<u8> image = frame_all(prefix(recs, whole));
+  const std::vector<u8> next = frame_all({recs[whole]});
+  image.insert(image.end(), next.begin(), next.begin() + static_cast<std::ptrdiff_t>(partial));
+  image.resize(reserved, 0);
+  return image;
+}
+
+std::vector<mp::SignedAppend> replay_all(FileLog& store) {
+  std::vector<mp::SignedAppend> out;
+  store.replay(0, [&](const mp::SignedAppend& r) { out.push_back(r); });
+  return out;
+}
+
+TEST(FileLog, SegmentBytesZeroOrOneKeepsOneRecordPerSegment) {
+  for (const usize segment_bytes : {usize{0}, usize{1}}) {
+    TempDir tmp;
+    FileLogConfig config{.dir = tmp.path, .fsync = mp::FsyncPolicy::kNever};
+    config.segment_bytes = segment_bytes;
+    const auto recs = records(5);
+    {
+      FileLog store(config);
+      ASSERT_TRUE(store.ok()) << store.error();
+      for (const auto& rec : recs) ASSERT_TRUE(store.append(rec));
+      // No empty segment is ever rolled, so no file is named twice.
+      EXPECT_EQ(store.stats().segments, recs.size()) << "segment_bytes=" << segment_bytes;
+      EXPECT_EQ(list_store_files(tmp.path, "seg-", ".log").size(), recs.size());
+    }
+    const auto names = list_store_files(tmp.path, "seg-", ".log");
+    ASSERT_EQ(names.size(), recs.size());
+    for (usize i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(names[i], segment_file_name(i));
+      EXPECT_EQ(file_size(tmp.path + "/" + names[i]), kLogRecordFrameBytes);
+    }
+    FileLog reopened(config);
+    ASSERT_TRUE(reopened.ok()) << reopened.error();
+    EXPECT_EQ(reopened.stats().segments, recs.size());
+    EXPECT_EQ(reopened.log_seq(), recs.size());
+    expect_prefix(replay_all(reopened), recs, recs.size());
+  }
+}
+
+TEST(FileLog, PreallocatedCrashImageRecoversExactPrefixAndAppendsInPlace) {
+  const auto recs = records(8);
+  FileLogConfig config{.dir = {}, .fsync = mp::FsyncPolicy::kAlways};
+  config.segment_bytes = 16 * kLogRecordFrameBytes;
+  const usize reserved = config.segment_bytes + kLogRecordFrameBytes;
+  for (const usize whole : {usize{0}, usize{1}, usize{5}}) {
+    // A partial frame ends before the signature tag's low bytes, so the
+    // zeros after it can never complete it into a valid frame.
+    for (const usize partial : {usize{0}, usize{1}, usize{8}, usize{28}}) {
+      TempDir tmp;
+      config.dir = tmp.path;
+      const std::string segment_path = tmp.path + "/" + segment_file_name(0);
+      write_bytes(segment_path, crash_image(recs, whole, partial, reserved));
+      const std::string where =
+          "whole=" + std::to_string(whole) + " partial=" + std::to_string(partial);
+      const mp::SignedAppend next = make_record(2, 500, -9);
+      {
+        FileLog store(config);
+        ASSERT_TRUE(store.ok()) << where << ": " << store.error();
+        EXPECT_EQ(store.log_seq(), whole) << where;
+        // Zeros after the last whole frame are unused space; a partial
+        // frame before them makes everything past the last frame torn.
+        EXPECT_EQ(store.stats().torn_tail_bytes,
+                  partial == 0 ? 0 : reserved - whole * kLogRecordFrameBytes)
+            << where;
+        ASSERT_NO_FATAL_FAILURE(expect_prefix(replay_all(store), recs, whole)) << where;
+
+        // The next record lands at the valid offset, over the zeros or the
+        // cut-off partial frame.
+        ASSERT_TRUE(store.append(next)) << where;
+        const auto image = read_file(segment_path);
+        ASSERT_TRUE(image.has_value());
+        std::vector<mp::SignedAppend> expected = prefix(recs, whole);
+        expected.push_back(next);
+        const std::vector<u8> frames = frame_all(expected);
+        ASSERT_GE(image->size(), frames.size()) << where;
+        EXPECT_TRUE(std::equal(frames.begin(), frames.end(), image->begin())) << where;
+      }
+      // A second reopen sees the appended record right after the prefix.
+      FileLog again(config);
+      ASSERT_TRUE(again.ok()) << where << ": " << again.error();
+      EXPECT_EQ(again.stats().torn_tail_bytes, 0u) << where;
+      const auto replayed = replay_all(again);
+      ASSERT_EQ(replayed.size(), whole + 1) << where;
+      ASSERT_NO_FATAL_FAILURE(expect_prefix(prefix(replayed, whole), recs, whole)) << where;
+      EXPECT_TRUE(replayed.back() == next) << where;
+    }
+  }
+}
+
+TEST(FileLog, GarbageAfterTheZeroTailIsATornTail) {
+  TempDir tmp;
+  const auto recs = records(6);
+  FileLogConfig config{.dir = tmp.path, .fsync = mp::FsyncPolicy::kNever};
+  config.segment_bytes = 16 * kLogRecordFrameBytes;
+  const usize reserved = config.segment_bytes + kLogRecordFrameBytes;
+  std::vector<u8> image = crash_image(recs, 4, 0, reserved);
+  image.push_back(0x5A);  // one stray byte past the zeros
+  const std::string segment_path = tmp.path + "/" + segment_file_name(0);
+  write_bytes(segment_path, image);
+
+  FileLog store(config);
+  ASSERT_TRUE(store.ok()) << store.error();
+  EXPECT_EQ(store.log_seq(), 4u);
+  EXPECT_EQ(store.stats().torn_tail_bytes, image.size() - 4 * kLogRecordFrameBytes);
+  EXPECT_EQ(file_size(segment_path), 4 * kLogRecordFrameBytes);  // cut on open
+  expect_prefix(replay_all(store), recs, 4);
+}
+
+TEST(FileLog, ClosedSegmentsHoldExactlyTheirFrames) {
+  TempDir tmp;
+  FileLogConfig config{.dir = tmp.path, .fsync = mp::FsyncPolicy::kAlways};
+  config.segment_bytes = 4 * kLogRecordFrameBytes;  // roll every 4 records
+  const auto recs = records(10);
+  const std::string active = tmp.path + "/" + segment_file_name(8);
+  {
+    FileLog store(config);
+    ASSERT_TRUE(store.ok()) << store.error();
+    for (const auto& rec : recs) ASSERT_TRUE(store.append(rec));
+    EXPECT_EQ(file_size(tmp.path + "/" + segment_file_name(0)), 4 * kLogRecordFrameBytes);
+    EXPECT_EQ(file_size(tmp.path + "/" + segment_file_name(4)), 4 * kLogRecordFrameBytes);
+    // The active segment holds its reservation while the store is open.
+    EXPECT_EQ(file_size(active), fallocate_supported(tmp.path)
+                                     ? config.segment_bytes + kLogRecordFrameBytes
+                                     : 2 * kLogRecordFrameBytes);
+  }
+  // A clean close gives the reservation back: every file is its frames.
+  EXPECT_EQ(file_size(active), 2 * kLogRecordFrameBytes);
+  FileLog reopened(config);
+  ASSERT_TRUE(reopened.ok()) << reopened.error();
+  EXPECT_EQ(reopened.stats().torn_tail_bytes, 0u);
+  expect_prefix(replay_all(reopened), recs, recs.size());
+}
+
+TEST(FileLog, WriterThatExitsWithoutClosingLeavesAZeroTailThatReopensClean) {
+  TempDir tmp;
+  FileLogConfig config{.dir = tmp.path, .fsync = mp::FsyncPolicy::kAlways};
+  config.segment_bytes = 64u << 10;
+  const auto recs = records(50);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // _exit skips the destructor, like a SIGKILL: no trim, no close.
+    auto* store = new FileLog(config);
+    bool ok = store->ok();
+    for (const auto& rec : recs) ok = ok && store->append(rec);
+    ::_exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  const std::string segment_path = tmp.path + "/" + segment_file_name(0);
+  EXPECT_EQ(file_size(segment_path), fallocate_supported(tmp.path)
+                                         ? config.segment_bytes + kLogRecordFrameBytes
+                                         : recs.size() * kLogRecordFrameBytes);
+  const mp::SignedAppend next = make_record(1, 900, 3);
+  {
+    FileLog store(config);
+    ASSERT_TRUE(store.ok()) << store.error();
+    EXPECT_EQ(store.stats().torn_tail_bytes, 0u);
+    EXPECT_EQ(store.log_seq(), recs.size());
+    expect_prefix(replay_all(store), recs, recs.size());
+    ASSERT_TRUE(store.append(next));
+  }
+  EXPECT_EQ(file_size(segment_path), (recs.size() + 1) * kLogRecordFrameBytes);
+  FileLog again(config);
+  ASSERT_TRUE(again.ok()) << again.error();
+  const auto replayed = replay_all(again);
+  ASSERT_EQ(replayed.size(), recs.size() + 1);
+  EXPECT_TRUE(replayed.back() == next);
 }
 
 }  // namespace

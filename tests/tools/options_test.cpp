@@ -55,5 +55,32 @@ TEST(Options, NodeOptionsRejectInvertedWatermarksAndWrappingPorts) {
   EXPECT_EQ(status({"--base-port", "65531", "--n", "5"}), ParseStatus::kOk);
 }
 
+TEST(Options, SegmentBytesIsBounded) {
+  const auto status = [](const char* value) {
+    NodeConfig cfg;
+    OptionSet opts("amm_node", "test");
+    add_node_options(opts, &cfg);
+    return parse(opts, {"--segment-bytes", value});
+  };
+  // 0 would give every record a file of its own; each segment also
+  // reserves its size on disk, so the top is capped too.
+  EXPECT_EQ(status("0"), ParseStatus::kError);
+  EXPECT_EQ(status("65535"), ParseStatus::kError);
+  EXPECT_EQ(status("65536"), ParseStatus::kOk);
+  EXPECT_EQ(status("1073741824"), ParseStatus::kOk);
+  EXPECT_EQ(status("1073741825"), ParseStatus::kError);
+}
+
+TEST(OptionsDeathTest, SegmentBytesOutsideItsBoundsExitsTwo) {
+  for (const char* value : {"0", "1073741825"}) {
+    NodeConfig cfg;
+    OptionSet opts("amm_node", "test");
+    add_node_options(opts, &cfg);
+    const char* argv[] = {"amm_node", "--segment-bytes", value};
+    EXPECT_EXIT(opts.parse_or_exit(3, argv), ::testing::ExitedWithCode(2), "segment-bytes")
+        << value;
+  }
+}
+
 }  // namespace
 }  // namespace amm::tools

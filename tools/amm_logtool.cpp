@@ -10,6 +10,12 @@
 //                                            segment (the repair `verify`
 //                                            recommends after a crash)
 //
+// Segments are scanned by storage::scan_segment, the same end-of-log rule
+// FileLog opens with: the log ends at the first position that holds no
+// whole valid frame, and an all-zero remainder there is the unused
+// preallocation of the segment a node was writing (what a SIGKILL leaves),
+// not a fault. Only a remainder with a nonzero byte is a torn tail.
+//
 // Unlike opening the store through FileLog, `dump` and `verify` never
 // mutate it — a torn tail is reported, not repaired, so an operator can
 // look before the node (or `truncate`) rewrites history. With --n/--seed
@@ -34,20 +40,18 @@ namespace {
 
 using namespace amm;
 
-struct SegmentScan {
+struct SegmentFile {
   std::string path;
   u64 first_seq = 0;
-  u64 records = 0;
-  usize valid_bytes = 0;
-  usize torn_bytes = 0;
+  storage::SegmentScan scan;
   std::vector<mp::SignedAppend> recs;
 };
 
 /// Reads and frame-scans every segment, in log order. IO failure prints
 /// and returns false; torn tails are recorded, not fatal.
-bool scan_segments(const std::string& dir, std::vector<SegmentScan>* out) {
+bool scan_segments(const std::string& dir, std::vector<SegmentFile>* out) {
   for (const std::string& name : storage::list_store_files(dir, "seg-", ".log")) {
-    SegmentScan seg;
+    SegmentFile seg;
     seg.path = dir + "/" + name;
     seg.first_seq = *storage::parse_store_seq(name, "seg-", ".log");
     const auto image = storage::read_file(seg.path);
@@ -55,18 +59,8 @@ bool scan_segments(const std::string& dir, std::vector<SegmentScan>* out) {
       std::fprintf(stderr, "amm_logtool: cannot read %s\n", seg.path.c_str());
       return false;
     }
-    usize off = 0;
-    mp::SignedAppend rec;
-    usize consumed = 0;
-    while (off < image->size() &&
-           storage::extract_record_frame({image->data() + off, image->size() - off}, &rec,
-                                         &consumed) == storage::ScanStatus::kRecord) {
-      seg.recs.push_back(rec);
-      ++seg.records;
-      off += consumed;
-    }
-    seg.valid_bytes = off;
-    seg.torn_bytes = image->size() - off;
+    seg.scan = storage::scan_segment(*image,
+                                     [&seg](const mp::SignedAppend& rec) { seg.recs.push_back(rec); });
     out->push_back(std::move(seg));
   }
   return true;
@@ -107,13 +101,14 @@ int run_dump(const std::string& dir) {
   } else if (snap.present) {
     std::printf("snapshot file=%s decode=failed\n", snap.path.c_str());
   }
-  std::vector<SegmentScan> segments;
+  std::vector<SegmentFile> segments;
   if (!scan_segments(dir, &segments)) return 2;
   u64 pos = 0;
-  for (const SegmentScan& seg : segments) {
+  for (const SegmentFile& seg : segments) {
     std::printf("segment file=%s first_seq=%llu records=%llu bytes=%zu torn_bytes=%zu\n",
                 seg.path.c_str(), static_cast<unsigned long long>(seg.first_seq),
-                static_cast<unsigned long long>(seg.records), seg.valid_bytes, seg.torn_bytes);
+                static_cast<unsigned long long>(seg.scan.records), seg.scan.valid_bytes,
+                seg.scan.torn_bytes);
     pos = seg.first_seq;
     for (const mp::SignedAppend& rec : seg.recs) {
       std::printf("record log_seq=%llu author=%u seq=%u value=%lld\n",
@@ -132,7 +127,7 @@ int run_verify(const std::string& dir, u32 n, u64 seed) {
     std::printf("fault kind=%s %s\n", what, detail.c_str());
   };
 
-  std::vector<SegmentScan> segments;
+  std::vector<SegmentFile> segments;
   if (!scan_segments(dir, &segments)) return 2;
 
   std::optional<crypto::KeyRegistry> keys;
@@ -158,16 +153,16 @@ int run_verify(const std::string& dir, u32 n, u64 seed) {
 
   u64 expected_first = segments.empty() ? 0 : segments.front().first_seq;
   for (usize i = 0; i < segments.size(); ++i) {
-    const SegmentScan& seg = segments[i];
+    const SegmentFile& seg = segments[i];
     if (seg.first_seq != expected_first) {
       complain("segment_gap", "file=" + seg.path + " expected_first_seq=" +
                                   std::to_string(expected_first));
     }
-    if (seg.torn_bytes != 0) {
+    if (seg.scan.torn_bytes != 0) {
       const bool last = i + 1 == segments.size();
       complain(last ? "torn_tail" : "mid_log_corruption",
-               "file=" + seg.path + " valid_bytes=" + std::to_string(seg.valid_bytes) +
-                   " torn_bytes=" + std::to_string(seg.torn_bytes));
+               "file=" + seg.path + " valid_bytes=" + std::to_string(seg.scan.valid_bytes) +
+                   " torn_bytes=" + std::to_string(seg.scan.torn_bytes));
     }
     if (keys) {
       for (const mp::SignedAppend& rec : seg.recs) {
@@ -179,11 +174,11 @@ int run_verify(const std::string& dir, u32 n, u64 seed) {
         }
       }
     }
-    expected_first = seg.first_seq + seg.records;
+    expected_first = seg.first_seq + seg.scan.records;
   }
 
   u64 records = 0;
-  for (const SegmentScan& seg : segments) records += seg.records;
+  for (const SegmentFile& seg : segments) records += seg.scan.records;
   std::printf("verify dir=%s segments=%zu records=%llu snapshot=%s signatures=%s faults=%llu\n",
               dir.c_str(), segments.size(), static_cast<unsigned long long>(records),
               snap.present ? (snap.decode_ok ? "ok" : "corrupt") : "none",
@@ -192,24 +187,24 @@ int run_verify(const std::string& dir, u32 n, u64 seed) {
 }
 
 int run_truncate(const std::string& dir) {
-  std::vector<SegmentScan> segments;
+  std::vector<SegmentFile> segments;
   if (!scan_segments(dir, &segments)) return 2;
   if (segments.empty()) {
     std::printf("truncate dir=%s segments=0 nothing to do\n", dir.c_str());
     return 0;
   }
-  const SegmentScan& last = segments.back();
-  if (last.torn_bytes == 0) {
+  const SegmentFile& last = segments.back();
+  if (last.scan.torn_bytes == 0) {
     std::printf("truncate file=%s clean tail, nothing to do\n", last.path.c_str());
     return 0;
   }
-  if (::truncate(last.path.c_str(), static_cast<off_t>(last.valid_bytes)) != 0) {
+  if (::truncate(last.path.c_str(), static_cast<off_t>(last.scan.valid_bytes)) != 0) {
     std::fprintf(stderr, "amm_logtool: cannot truncate %s\n", last.path.c_str());
     return 2;
   }
   std::printf("truncate file=%s cut_bytes=%zu kept_bytes=%zu kept_records=%llu\n",
-              last.path.c_str(), last.torn_bytes, last.valid_bytes,
-              static_cast<unsigned long long>(last.records));
+              last.path.c_str(), last.scan.torn_bytes, last.scan.valid_bytes,
+              static_cast<unsigned long long>(last.scan.records));
   return 0;
 }
 

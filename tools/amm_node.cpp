@@ -192,6 +192,7 @@ int main(int argc, char** argv) {
     if (store != nullptr) {
       stats.log_bytes = store->stats().log_bytes;
       stats.snapshot_count = store->stats().snapshot_count;
+      stats.fsyncs = store->stats().fsyncs;
     }
     stats.recovery_replayed_records = node.stats().recovery_replayed_records;
     stats.links_up = transport.connected_outbound();

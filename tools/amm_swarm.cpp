@@ -513,9 +513,11 @@ int main(int argc, char** argv) {
   // Post-run server memory probe: the §8 story measured end-to-end — how
   // much record state each node resides with after the whole load. With
   // compaction off live == history on every node; in summary mode live is
-  // the suffix the checkpoint has not folded. Skipped silently if a node
-  // is unreachable (the rung results above already failed in that case).
-  Table memory({"node", "live [records]", "folded", "rss [KB]"});
+  // the suffix the checkpoint has not folded. The fsyncs column is what a
+  // durable node's store has issued since it started (0 when memory-only).
+  // Skipped silently if a node is unreachable (the rung results above
+  // already failed in that case).
+  Table memory({"node", "live [records]", "folded", "rss [KB]", "fsyncs"});
   bool have_stats = !ports.empty();
   for (usize i = 0; i < ports.size() && have_stats; ++i) {
     const std::optional<mp::NodeStats> stats = fetch_stats(host, ports[i]);
@@ -524,8 +526,9 @@ int main(int argc, char** argv) {
       break;
     }
     memory.add_row({std::to_string(i), std::to_string(stats->live_records),
-                    std::to_string(stats->records_folded), std::to_string(stats->rss_kb)});
+                    std::to_string(stats->records_folded), std::to_string(stats->rss_kb),
+                    std::to_string(stats->fsyncs)});
   }
-  if (have_stats) harness.emit(memory, "per-node resident record state after the run");
+  if (have_stats) harness.emit(memory, "per-node resident record state and fsyncs after the run");
   return all_ok ? 0 : 1;
 }

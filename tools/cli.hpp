@@ -64,7 +64,11 @@ inline void add_node_options(OptionSet& opts, NodeConfig* cfg) {
                "appends between fdatasyncs with --fsync interval");
   opts.add_u32("snapshot-interval", &cfg->snapshot_interval,
                "admissions between automatic snapshots (0 = never)");
-  opts.add_u64("segment-bytes", &cfg->segment_bytes, "roll log segments beyond this size");
+  // Each segment reserves this much disk up front (storage::FileLog), so
+  // the upper bound caps what a node claims per segment.
+  opts.add_u64("segment-bytes", &cfg->segment_bytes,
+               "roll log segments beyond this size; each reserves it on disk",
+               {64u << 10, 1u << 30});
   opts.require([cfg] { return cfg->low_watermark <= cfg->high_watermark; },
                "need --low-watermark <= --high-watermark");
   opts.require([cfg] { return u64{cfg->base_port} + cfg->n <= 65536; },

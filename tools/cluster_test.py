@@ -21,10 +21,12 @@ written as a JSON document for the CI artifact / bench fold-in.
 
 With --durable the default scenario is replaced by the crash-recovery
 gauntlet (DESIGN.md §10): every node runs with --store-dir, one node is
-SIGKILLed in the middle of an append batch, its store's log tail is
-smeared with garbage (the torn-frame crash artifact), amm_logtool must
-detect (verify -> exit 1), repair (truncate) and re-certify (verify ->
-exit 0) the store offline, and the restarted node must recover its view
+SIGKILLed in the middle of an append batch, amm_logtool must certify the
+store as the kill left it (verify -> exit 0: the zero tail of a
+preallocated segment is free space), its log tail is then smeared with
+garbage (the torn-frame crash artifact), amm_logtool must detect (verify
+-> exit 1), repair (truncate) and re-certify (verify -> exit 0) the store
+offline, and the restarted node must recover its view
 from local replay plus a delta-only tail fetch — asserted both on bytes
 (within 2x the ideal delta cost, far below a full history sync) and on
 state (its quorum read agrees with every survivor's and contains every
@@ -284,9 +286,18 @@ def run_durable(args) -> None:
         job.communicate(timeout=60)  # the driver dies with its node; ignore
         survivors = cluster.alive()
 
+        # The killed node's active segment ends in the zeros of its unused
+        # preallocation, which is free space, not a fault: the store as the
+        # SIGKILL left it must verify clean.
+        store_dir = store_root / f"store{target}"
+        status, out = logtool(args, "verify", "--dir", str(store_dir),
+                              "--n", str(args.n), "--seed", str(args.seed))
+        if status != 0 or "faults=0" not in out:
+            raise ClusterError(f"SIGKILLed store does not verify clean (exit {status}): "
+                               f"{out.strip()}")
+
         # Smear garbage over the log tail so the crash artifact is there
         # deterministically (a real mid-write kill only sometimes tears).
-        store_dir = store_root / f"store{target}"
         segments = sorted(store_dir.glob("seg-*.log"))
         if not segments:
             raise ClusterError(f"no segments in {store_dir}")

@@ -40,7 +40,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-MICRO_PREFIXES = ("bench_memory", "bench_chain", "bench_sim")
+MICRO_PREFIXES = ("bench_memory", "bench_chain", "bench_sim", "bench_storage")
 
 
 def git(repo_root: Path, *args: str) -> str | None:

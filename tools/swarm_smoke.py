@@ -20,6 +20,13 @@ Measurement controls (the committed BENCH_net.json baseline uses all three):
       appends/sec row (peak sustained throughput; best-of damps loopback
       scheduler noise on small machines).
 
+Durable nodes: --fsync never|interval|always starts every node with a
+--store-dir and that fsync policy. Each cluster gets a fresh store
+directory under --store-root (default: the system temp dir), removed when
+the run ends. A store root on tmpfs or ramfs is refused, because fdatasync
+costs nothing there. amm_swarm's per-node table then reports each node's
+fsyncs.
+
 Exit status is nonzero if any swarm invocation fails (incomplete rung,
 unreachable cluster), making this a cheap end-to-end smoke for the whole
 high-fanout path: connect burst -> accept -> ctl append -> signature check
@@ -29,6 +36,7 @@ Usage:
   tools/swarm_smoke.py --bin-dir build/tools [--n 3] [--scale 8,32]
                        [--appends 20 | --total-appends 25600] [--window 4]
                        [--idle 0] [--trials 1] [--fresh-cluster-per-rung]
+                       [--fsync never|interval|always] [--store-root DIR]
                        [--json swarm.json]
 """
 
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,6 +55,13 @@ from cluster_test import Cluster, ClusterError, log  # noqa: E402
 
 RATE_COLUMN = "appends/sec"
 CAPTION = "append throughput vs concurrent writers"
+
+
+def fs_type(path: Path) -> str:
+    """Filesystem type that statfs reports for `path` ("" if unknown)."""
+    proc = subprocess.run(["stat", "-f", "-c", "%T", str(path)],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
 def run_swarm(bin_dir: Path, cluster: Cluster, scale: str, appends: int,
@@ -96,6 +112,12 @@ def main() -> int:
     parser.add_argument("--fresh-cluster-per-rung", action="store_true",
                         help="boot a new cluster per rung+trial (no cross-rung "
                              "history or idle-teardown contamination)")
+    parser.add_argument("--fsync", choices=("never", "interval", "always"), default=None,
+                        help="run durable nodes with this fsync policy, each cluster "
+                             "on a fresh store (default: memory-only nodes)")
+    parser.add_argument("--store-root", type=Path, default=Path(tempfile.gettempdir()),
+                        help="where durable clusters keep their stores; must not be "
+                             "tmpfs or ramfs")
     parser.add_argument("--json", type=Path, default=None,
                         help="write the merged harness document here")
     args = parser.parse_args()
@@ -104,6 +126,34 @@ def main() -> int:
     if not rungs or args.trials < 1:
         log("FAILED: need a nonempty --scale and --trials >= 1")
         return 1
+    run_root = None
+    if args.fsync is not None:
+        args.store_root.mkdir(parents=True, exist_ok=True)
+        kind = fs_type(args.store_root)
+        if kind in ("tmpfs", "ramfs"):
+            log(f"FAILED: --store-root {args.store_root} is on {kind}, where fdatasync "
+                f"is free; pass a disk-backed directory")
+            return 1
+        run_root = Path(tempfile.mkdtemp(prefix="swarm_stores_", dir=args.store_root))
+    try:
+        return sweep(args, rungs, run_root)
+    finally:
+        if run_root is not None:
+            shutil.rmtree(run_root, ignore_errors=True)
+
+
+def sweep(args, rungs: list[int], run_root: Path | None) -> int:
+    """Runs the rung ladder; durable clusters keep their stores under run_root."""
+    clusters_made = 0
+
+    def new_cluster() -> Cluster:
+        nonlocal clusters_made
+        node_args: tuple[str, ...] = ()
+        if run_root is not None:
+            store = run_root / f"cluster{clusters_made}"
+            node_args = ("--store-dir", str(store / "node{id}"), "--fsync", args.fsync)
+        clusters_made += 1
+        return Cluster(args.bin_dir, args.n, args.seed, node_args=node_args)
 
     def appends_for(writers: int) -> int:
         if args.total_appends is not None:
@@ -129,7 +179,7 @@ def main() -> int:
         candidates: dict[int, list[list[str]]] = {w: [] for w in rungs}
         for _ in range(args.trials):
             for writers in rungs:
-                cluster = Cluster(args.bin_dir, args.n, args.seed)
+                cluster = new_cluster()
                 cluster.start()
                 try:
                     candidates[writers] += one_trial(cluster, writers)
@@ -139,7 +189,7 @@ def main() -> int:
         for writers in rungs:
             rows.append(max(candidates[writers], key=lambda r: float(r[rate])))
     else:
-        cluster = Cluster(args.bin_dir, args.n, args.seed)
+        cluster = new_cluster()
         cluster.start()
         try:
             for writers in rungs:
@@ -151,7 +201,10 @@ def main() -> int:
         finally:
             cluster.stop_all()
 
-    doc = {"title": "amm_swarm client swarm",
+    title = "amm_swarm client swarm"
+    if args.fsync is not None:
+        title += f" (fsync {args.fsync})"
+    doc = {"title": title,
            "tables": [{"caption": CAPTION, "table": {"headers": headers, "rows": rows}}]}
     if args.json:
         args.json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
